@@ -1,16 +1,23 @@
 #include "common/hex.hpp"
 
+#include <array>
+
 namespace cryptodrop {
 
 namespace {
 constexpr char kDigits[] = "0123456789abcdef";
 
-int nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+/// Nibble value of each byte: 0-15 for a hex digit, 0xFF otherwise, so
+/// OR-ing every looked-up value and testing the high bits flags any
+/// non-hex byte without a branch per byte.
+constexpr std::array<std::uint8_t, 256> kNibble = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (std::uint8_t& v : table) v = 0xFF;
+  for (std::size_t c = '0'; c <= '9'; ++c) table[c] = static_cast<std::uint8_t>(c - '0');
+  for (std::size_t c = 'a'; c <= 'f'; ++c) table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  for (std::size_t c = 'A'; c <= 'F'; ++c) table[c] = static_cast<std::uint8_t>(c - 'A' + 10);
+  return table;
+}();
 }  // namespace
 
 std::string hex_encode(ByteView data) {
@@ -25,14 +32,15 @@ std::string hex_encode(ByteView data) {
 
 std::optional<Bytes> hex_decode(std::string_view hex) {
   if (hex.size() % 2 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = nibble(hex[i]);
-    int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+  Bytes out(hex.size() / 2);
+  std::uint8_t seen = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint8_t hi = kNibble[static_cast<unsigned char>(hex[2 * i])];
+    const std::uint8_t lo = kNibble[static_cast<unsigned char>(hex[2 * i + 1])];
+    seen = static_cast<std::uint8_t>(seen | hi | lo);
+    out[i] = static_cast<std::uint8_t>((hi << 4) | lo);
   }
+  if ((seen & 0xF0) != 0) return std::nullopt;
   return out;
 }
 

@@ -40,12 +40,19 @@ ChaCha20::ChaCha20(ByteView key, ByteView nonce, std::uint32_t counter) {
   for (int i = 0; i < 4; ++i) {
     state_[i] = load32(reinterpret_cast<const std::uint8_t*>(kSigma) + 4 * i);
   }
+  // An empty view may carry a null data(), which memcpy must not get
+  // even for zero bytes.
   std::uint8_t key_bytes[32] = {};
-  std::memcpy(key_bytes, key.data(), std::min<std::size_t>(key.size(), 32));
+  if (!key.empty()) {
+    std::memcpy(key_bytes, key.data(), std::min<std::size_t>(key.size(), 32));
+  }
   for (int i = 0; i < 8; ++i) state_[4 + i] = load32(key_bytes + 4 * i);
   state_[12] = counter;
   std::uint8_t nonce_bytes[12] = {};
-  std::memcpy(nonce_bytes, nonce.data(), std::min<std::size_t>(nonce.size(), 12));
+  if (!nonce.empty()) {
+    std::memcpy(nonce_bytes, nonce.data(),
+                std::min<std::size_t>(nonce.size(), 12));
+  }
   for (int i = 0; i < 3; ++i) state_[13 + i] = load32(nonce_bytes + 4 * i);
   block_pos_ = 64;  // force a fresh block on first use
 }

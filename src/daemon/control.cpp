@@ -209,11 +209,11 @@ std::vector<std::string_view> known_request_types() {
           "watch",    "health",  "trace",   "tenants", "shutdown"};
 }
 
-std::string ControlDispatcher::handle_line(const std::string& line) {
+std::string ControlDispatcher::handle_line(std::string_view line) {
   return handle_line(line, nullptr);
 }
 
-std::string ControlDispatcher::handle_line(const std::string& line,
+std::string ControlDispatcher::handle_line(std::string_view line,
                                            WatchSubscription* watch) {
   daemon_->daemon_metrics().control_requests().add();
   std::optional<JsonValue> request = parse_json(line);
@@ -223,6 +223,12 @@ std::string ControlDispatcher::handle_line(const std::string& line,
           : handle_request(*daemon_, *request, watch);
   if (!response.ok) daemon_->daemon_metrics().control_errors().add();
   return response.body.to_string();
+}
+
+std::string ControlDispatcher::reject(const Status& status) {
+  daemon_->daemon_metrics().control_requests().add();
+  daemon_->daemon_metrics().control_errors().add();
+  return error_response(status).body.to_string();
 }
 
 }  // namespace cryptodrop::daemon

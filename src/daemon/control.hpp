@@ -48,14 +48,20 @@ class ControlDispatcher {
 
   /// Handles one request line, returning one response line (no trailing
   /// newline). Malformed input yields an `ok:false` response, never an
-  /// exception.
-  std::string handle_line(const std::string& line);
+  /// exception. `line` is only read during the call, so it may view a
+  /// transport buffer that changes afterwards.
+  std::string handle_line(std::string_view line);
 
   /// Like handle_line(), but a `watch` request additionally fills
   /// `*watch` so a streaming transport can promote the connection.
   /// Transports that cannot stream (the in-process harness) use the
   /// one-argument overload, where `watch` degrades to a plain ack.
-  std::string handle_line(const std::string& line, WatchSubscription* watch);
+  std::string handle_line(std::string_view line, WatchSubscription* watch);
+
+  /// Answers a request the transport refused before dispatch (one over
+  /// the size cap): counts it as a failed request and returns the
+  /// `code` error envelope for `status`.
+  std::string reject(const Status& status);
 
  private:
   Daemon* daemon_;

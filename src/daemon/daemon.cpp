@@ -1,8 +1,6 @@
 #include "daemon/daemon.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -10,19 +8,10 @@ namespace cryptodrop::daemon {
 
 // --- TenantRegistry ----------------------------------------------------
 
-void TenantRegistry::insert(std::shared_ptr<TenantState> state) {
+bool TenantRegistry::insert(std::shared_ptr<TenantState> state) {
   std::lock_guard<decltype(mu_)> guard(mu_);
-  const auto [it, inserted] = tenants_.emplace(state->id, std::move(state));
-  if (!inserted) {
-    // A duplicate id here means two sessions would answer for one
-    // tenant namespace — attach() pre-checks under this lock, so this
-    // is unreachable via the public API. Fail loudly, not quietly.
-    std::fprintf(stderr,
-                 "cryptodropd: tenant id `%s` attached twice — invariant "
-                 "violated\n",
-                 it->first.c_str());
-    std::abort();
-  }
+  const std::string& id = state->id;
+  return tenants_.try_emplace(id, std::move(state)).second;
 }
 
 std::shared_ptr<TenantState> TenantRegistry::find(std::string_view id) const {
@@ -95,43 +84,30 @@ Status Daemon::attach(const std::string& tenant_id,
   if (tenant_id.empty()) {
     return Status(Errc::invalid_argument, "tenant id must be non-empty");
   }
-  // Friendly pre-check: the registry's own insert() treats a duplicate
-  // as an invariant violation (abort). Construct the session only after
-  // the id is known fresh; a racing attach of the same id is resolved
-  // by re-checking under the registry lock inside insert() — so hold
-  // the happy path to: check, build, insert, where a lost race is a
-  // clean error, not an abort.
-  if (registry_.contains(tenant_id)) {
-    return Status(Errc::invalid_argument,
-                  "tenant `" + tenant_id + "` is already attached");
-  }
+  const Status duplicate(Errc::invalid_argument,
+                         "tenant `" + tenant_id + "` is already attached");
+  // Cheap pre-check so a plain duplicate does not pay for a volume
+  // clone. It decides nothing: two attaches of one id can both pass it,
+  // and insert() below, a single critical section, picks the winner.
+  if (registry_.contains(tenant_id)) return duplicate;
   std::shared_ptr<TenantState> state;
   try {
     state = std::make_shared<TenantState>(tenant_id, base_, std::move(config));
   } catch (const std::invalid_argument& e) {
     return Status(Errc::invalid_argument, e.what());
   }
-  // Re-check + insert must be atomic w.r.t. other attaches; a duplicate
-  // discovered now (race) is reported, not aborted.
-  std::size_t worker_index = 0;
-  {
-    if (registry_.contains(tenant_id)) {
-      return Status(Errc::invalid_argument,
-                    "tenant `" + tenant_id + "` is already attached");
-    }
-    state->worker =
-        next_worker_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    worker_index = state->worker;
-    // Suspension verdicts become journal events. The engine fires the
-    // callback after releasing every engine lock (AlertScope), so the
-    // rank-5 journal append composes with any caller.
-    state->session.engine().set_alert_callback(
-        [this, id = tenant_id, worker = state->worker](const core::Alert& a) {
-          journal_event(EventKind::suspension, id, worker,
-                        static_cast<double>(a.score), a.process_name);
-        });
-    registry_.insert(std::move(state));
-  }
+  state->worker =
+      next_worker_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
+  const std::size_t worker_index = state->worker;
+  // Suspension verdicts become journal events. The engine fires the
+  // callback after releasing every engine lock (AlertScope), so the
+  // rank-5 journal append composes with any caller.
+  state->session.engine().set_alert_callback(
+      [this, id = tenant_id, worker = state->worker](const core::Alert& a) {
+        journal_event(EventKind::suspension, id, worker,
+                      static_cast<double>(a.score), a.process_name);
+      });
+  if (!registry_.insert(std::move(state))) return duplicate;
   metrics_.tenants_attached().add();
   metrics_.tenants_active().set(static_cast<double>(registry_.size()));
   journal_event(EventKind::tenant_attach, tenant_id, worker_index,

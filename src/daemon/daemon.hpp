@@ -92,15 +92,14 @@ struct TenantState {
   TenantStats stats;
 };
 
-/// Thread-safe tenant-id -> state map. insert() treats a duplicate id
-/// as an invariant violation and aborts — Daemon::attach checks for the
-/// id under this registry's own lock first, so the public API can never
-/// reach the abort (tests/daemon_test.cpp's death test drives it
-/// directly).
+/// Thread-safe tenant-id -> state map. insert() checks for the id and
+/// inserts under one lock hold, so of two racing attaches of one id
+/// exactly one wins.
 class TenantRegistry {
  public:
-  /// Inserts a new tenant; aborts on duplicate id (see class comment).
-  void insert(std::shared_ptr<TenantState> state);
+  /// Inserts `state` unless its id is already present. Returns whether
+  /// it inserted; on false the registry keeps the existing tenant.
+  bool insert(std::shared_ptr<TenantState> state);
   /// The tenant with `id`, or nullptr.
   [[nodiscard]] std::shared_ptr<TenantState> find(std::string_view id) const;
   /// True when `id` is attached.

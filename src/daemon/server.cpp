@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,7 +30,7 @@ long long mono_ms() {
 
 /// Per-connection transport state (input framing + watch stream).
 struct Conn {
-  std::string in;              ///< Unconsumed request bytes.
+  LineFramer in;               ///< Request bytes and their framing.
   std::string out;             ///< Pending output (watch streams only).
   bool watching = false;       ///< Promoted to a push stream.
   std::string tenant_filter;   ///< Watch tenant filter ("" = all).
@@ -45,16 +47,33 @@ bool make_address(const std::string& path, sockaddr_un& addr) {
   return true;
 }
 
-/// Writes all of `data` to `fd` (retrying short writes). False on error.
-bool write_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+/// Writes `line` and then '\n' to socket `fd`, gathering both into each
+/// sendmsg() so the line is never copied to append its newline, and
+/// retrying short writes. A peer that has gone away yields false, not
+/// SIGPIPE.
+bool write_line(int fd, std::string_view line) {
+  static const char kNewline = '\n';
+  iovec parts[2] = {{const_cast<char*>(line.data()), line.size()},
+                    {const_cast<char*>(&kNewline), 1}};
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -115,6 +134,48 @@ std::string event_frame(const JournalEvent& event) {
 }
 
 }  // namespace
+
+ssize_t LineFramer::fill(int fd) {
+  if (begin_ > 0) {
+    // Only an unfinished line is left; move it to the front so the
+    // buffer grows only for a line that is itself long.
+    std::memmove(buffer_.get(), buffer_.get() + begin_, end_ - begin_);
+    scanned_ -= begin_;
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (capacity_ - end_ < kReadChunk) {
+    // Doubling keeps a long line's regrowth linear; the ceiling is the
+    // most a line under the cap plus one read can occupy.
+    const std::size_t grown = std::max(
+        end_ + kReadChunk, std::min(2 * capacity_, kMaxLineBytes + kReadChunk));
+    std::unique_ptr<char[]> bigger(new char[grown]);
+    if (end_ > 0) std::memcpy(bigger.get(), buffer_.get(), end_);
+    buffer_ = std::move(bigger);
+    capacity_ = grown;
+  }
+  const ssize_t n = ::read(fd, buffer_.get() + end_, kReadChunk);
+  if (n > 0) end_ += static_cast<std::size_t>(n);
+  return n;
+}
+
+LineFramer::Next LineFramer::next(std::string_view* line) {
+  const char* const data = buffer_.get();
+  const void* const newline =
+      scanned_ < end_ ? std::memchr(data + scanned_, '\n', end_ - scanned_)
+                      : nullptr;
+  if (newline == nullptr) {
+    scanned_ = end_;
+    return end_ - begin_ > kMaxLineBytes ? Next::overflow : Next::partial;
+  }
+  const auto stop = static_cast<std::size_t>(
+      static_cast<const char*>(newline) - data);
+  if (stop - begin_ > kMaxLineBytes) return Next::overflow;
+  *line = std::string_view(data + begin_, stop - begin_);
+  begin_ = stop + 1;
+  scanned_ = begin_;
+  return Next::line;
+}
 
 SocketServer::~SocketServer() { stop(); }
 
@@ -229,23 +290,30 @@ void SocketServer::serve_loop() {
         continue;
       }
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      const ssize_t n = conn.in.fill(fd);
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
       if (n <= 0) {
         close_conn(fd);
         continue;
       }
       conn.last_read_ms = now;
-      conn.in.append(chunk, static_cast<std::size_t>(n));
-      std::size_t start = 0;
       bool dead = false;
-      for (std::size_t nl = conn.in.find('\n', start);
-           nl != std::string::npos; nl = conn.in.find('\n', start)) {
-        const std::string line = conn.in.substr(start, nl - start);
-        start = nl + 1;
+      std::string_view line;
+      LineFramer::Next next = LineFramer::Next::partial;
+      while (!dead && (next = conn.in.next(&line)) != LineFramer::Next::partial) {
         WatchSubscription sub;
-        const std::string response = dispatcher_.handle_line(line, &sub) + "\n";
+        std::string response;
+        if (next == LineFramer::Next::line) {
+          response = dispatcher_.handle_line(line, &sub);
+        } else {
+          // Over the cap: answer, then drop the connection rather than
+          // buffer or skip an unbounded line.
+          response = dispatcher_.reject(Status(
+              Errc::invalid_argument, "request line exceeds " +
+                                          std::to_string(kMaxLineBytes) +
+                                          " bytes"));
+          dead = true;
+        }
         if (sub.requested && !conn.watching) {
           // Promote to a push stream: non-blocking fd, bounded output
           // buffer, frames from the subscription cursor onward.
@@ -259,16 +327,16 @@ void SocketServer::serve_loop() {
         }
         if (conn.watching) {
           conn.out += response;
-        } else if (!write_all(fd, response)) {
+          conn.out += '\n';
+          if (dead) (void)flush_some(fd, conn.out);
+        } else if (!write_line(fd, response)) {
           dead = true;
-          break;
         }
       }
       if (dead) {
         close_conn(fd);
         continue;
       }
-      conn.in.erase(0, start);
       if (!conn.out.empty() && !flush_some(fd, conn.out)) close_conn(fd);
     }
     if (options_.idle_timeout_ms > 0) {
@@ -326,7 +394,7 @@ DaemonClient::~DaemonClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::string> DaemonClient::request(const std::string& line) {
+Result<std::string> DaemonClient::request(std::string_view line) {
   if (fd_ < 0) {
     sockaddr_un addr{};
     if (!make_address(socket_path_, addr)) {
@@ -347,24 +415,24 @@ Result<std::string> DaemonClient::request(const std::string& line) {
                                         std::strerror(err));
     }
   }
-  if (!write_all(fd_, line + "\n")) {
+  if (!write_line(fd_, line)) {
     return Status(Errc::io_error,
                   std::string("write: ") + std::strerror(errno));
   }
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string response = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return response;
+    std::string_view response;
+    const LineFramer::Next next = framer_.next(&response);
+    if (next == LineFramer::Next::line) return std::string(response);
+    if (next == LineFramer::Next::overflow) {
+      return Status(Errc::io_error, "response line exceeds " +
+                                        std::to_string(kMaxLineBytes) +
+                                        " bytes");
     }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+    const ssize_t n = framer_.fill(fd_);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return Status(Errc::io_error, "connection closed mid-response");
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 

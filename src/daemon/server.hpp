@@ -8,6 +8,16 @@
 // `shutdown` request (or an external Daemon::shutdown call) stops the
 // server without a special control channel.
 //
+// Framing is one pass over each byte (LineFramer, shared with the
+// client): every wake reads up to 256 KiB straight into the
+// connection's buffer, the scan for '\n' resumes where the previous one
+// stopped, and each complete line goes to the dispatcher as a view into
+// that buffer, which the dispatcher is done with before the next read.
+// A request therefore costs time linear in its size, and its bytes are
+// copied into the daemon once, by read(). Lines are capped at
+// kMaxLineBytes: a longer request is answered with an
+// `invalid_argument` envelope and its connection is closed.
+//
 // Two departures from plain request/response framing:
 //   - Idle deadline: a connection that sends no bytes for
 //     `idle_timeout_ms` is evicted (daemon_conns_idle_closed_total), so
@@ -24,15 +34,57 @@
 // by `cryptodrop daemon-replay` and the socket smoke test.
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/result.hpp"
 #include "daemon/control.hpp"
 
 namespace cryptodrop::daemon {
+
+/// Longest line, in bytes before its '\n', either end of the control
+/// socket buffers. The daemon's largest requests are submits of a few
+/// MB of hex-encoded writes; a longer line is refused, not buffered.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
+/// One-pass '\n' framing over a stream fd, shared by SocketServer and
+/// DaemonClient (see the file comment). Bytes are read straight into
+/// one buffer, each is scanned for '\n' once, and complete lines are
+/// handed out as views into that buffer.
+class LineFramer {
+ public:
+  /// Bytes asked of read() per fill().
+  static constexpr std::size_t kReadChunk = 256 * 1024;
+
+  /// What next() found.
+  enum class Next : std::uint8_t {
+    line,      ///< `*line` views a complete line (without its '\n').
+    partial,   ///< No complete line is buffered: fill() first.
+    overflow,  ///< The buffered line is longer than kMaxLineBytes.
+  };
+
+  /// Reclaims the space of lines already handed out, then makes one
+  /// read() of up to kReadChunk bytes from `fd`. Returns read()'s
+  /// result: bytes read, 0 at end of stream, -1 with errno set.
+  ssize_t fill(int fd);
+
+  /// The next complete line. The view stays valid until fill().
+  Next next(std::string_view* line);
+
+ private:
+  std::unique_ptr<char[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;    ///< First byte not yet handed out as a line.
+  std::size_t scanned_ = 0;  ///< [begin_, scanned_) holds no '\n'.
+  std::size_t end_ = 0;      ///< One past the last byte read.
+};
 
 /// Transport tuning knobs (defaults suit production; tests shrink the
 /// idle deadline and frame interval to keep wall-clock short).
@@ -105,12 +157,12 @@ class DaemonClient {
 
   /// Sends one request line and returns the response line (connecting
   /// on first use). Errors are io_error with the failing syscall named.
-  Result<std::string> request(const std::string& line);
+  Result<std::string> request(std::string_view line);
 
  private:
   std::string socket_path_;
   int fd_ = -1;
-  std::string buffer_;  ///< Bytes read past the last returned line.
+  LineFramer framer_;  ///< Holds bytes read past the last response.
 };
 
 }  // namespace cryptodrop::daemon

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstring>
 
 #include "obs/timeline.hpp"
 
@@ -67,15 +68,26 @@ struct Parser {
   std::optional<std::string> parse_string() {
     if (!consume('"')) return std::nullopt;
     std::string out;
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+    // Unescaped runs are copied whole: memchr finds the next quote, and
+    // a second memchr bounded by it finds the next escape. The quote is
+    // searched for again only once an escape (`\"`) has consumed it.
+    const char* const begin = text.data();
+    const char* const end = begin + text.size();
+    const char* quote = nullptr;
+    while (true) {
+      const char* const run = begin + pos;
+      if (quote == nullptr || quote < run) {
+        quote = static_cast<const char*>(
+            std::memchr(run, '"', static_cast<std::size_t>(end - run)));
+        if (quote == nullptr) return std::nullopt;  // Unterminated string.
       }
-      if (pos >= text.size()) return std::nullopt;
-      const char esc = text[pos++];
+      const char* const backslash = static_cast<const char*>(
+          std::memchr(run, '\\', static_cast<std::size_t>(quote - run)));
+      const char* const run_end = backslash != nullptr ? backslash : quote;
+      out.append(run, run_end);
+      pos = static_cast<std::size_t>(run_end - begin) + 1;
+      if (backslash == nullptr) return out;
+      const char esc = text[pos++];  // In bounds: `quote` follows it.
       switch (esc) {
         case '"': out.push_back('"'); break;
         case '\\': out.push_back('\\'); break;
@@ -113,14 +125,16 @@ struct Parser {
         default: return std::nullopt;
       }
     }
-    return std::nullopt;  // Unterminated string.
   }
 
-  std::optional<JsonValue> parse_value() {
+  /// Parses the value at `pos`; `depth` counts the arrays and objects
+  /// enclosing it, so recursion stops at kMaxJsonDepth.
+  std::optional<JsonValue> parse_value(std::size_t depth) {
     skip_ws();
     if (pos >= text.size()) return std::nullopt;
     JsonValue v;
     const char c = text[pos];
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth) return std::nullopt;
     if (c == '{') {
       ++pos;
       v.kind = JsonValue::Kind::object;
@@ -129,7 +143,7 @@ struct Parser {
       while (true) {
         auto key = parse_string();
         if (!key || !consume(':')) return std::nullopt;
-        auto member = parse_value();
+        auto member = parse_value(depth + 1);
         if (!member) return std::nullopt;
         v.fields.emplace_back(std::move(*key), std::move(*member));
         if (consume(',')) continue;
@@ -143,7 +157,7 @@ struct Parser {
       skip_ws();
       if (consume(']')) return v;
       while (true) {
-        auto item = parse_value();
+        auto item = parse_value(depth + 1);
         if (!item) return std::nullopt;
         v.items.push_back(std::move(*item));
         if (consume(',')) continue;
@@ -198,7 +212,7 @@ struct Parser {
 
 std::optional<JsonValue> parse_json(std::string_view text) {
   Parser parser{text};
-  auto value = parser.parse_value();
+  auto value = parser.parse_value(0);
   if (!value) return std::nullopt;
   parser.skip_ws();
   if (parser.pos != text.size()) return std::nullopt;  // Trailing garbage.

@@ -45,8 +45,14 @@ struct JsonValue {
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
 };
 
+/// Deepest array/object nesting parse_json accepts. The daemon's own
+/// replies nest at most seven levels; the cap bounds the reader's
+/// recursion, so input like `[[[[...` cannot exhaust the stack.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parses one JSON document (object/array/scalar). Returns nullopt on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage or nesting deeper than
+/// kMaxJsonDepth.
 std::optional<JsonValue> parse_json(std::string_view text);
 
 /// Serializes one process report — score, verdict, indicator counts,

@@ -1,7 +1,9 @@
 #include "vfs/trace.hpp"
 
+#include <array>
 #include <charconv>
 #include <map>
+#include <utility>
 
 #include "common/hex.hpp"
 
@@ -113,44 +115,45 @@ std::string serialize_trace(const std::vector<TraceEntry>& entries) {
 }
 
 std::optional<TraceEntry> parse_trace_entry(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t field_start = 0;
-  for (std::size_t i = 0; i <= line.size(); ++i) {
-    // '|' is escaped inside fields as "\p", so raw '|' is a separator.
-    if (i == line.size() || line[i] == '|') {
-      fields.push_back(line.substr(field_start, i - field_start));
-      field_start = i + 1;
-    }
-  }
+  // '|' is escaped inside fields as "\p", so raw '|' is a separator.
   // v1 lines have 9 fields; v2 inserts `handle` before the payload.
-  const bool v2 = fields.size() == 10;
-  if (fields.size() != 9 && !v2) return std::nullopt;
+  std::array<std::string_view, 10> fields;
+  std::size_t count = 0;
+  for (std::size_t start = 0;;) {
+    if (count == fields.size()) return std::nullopt;
+    const std::size_t bar = line.find('|', start);
+    fields[count++] = line.substr(start, bar - start);
+    if (bar == std::string_view::npos) break;
+    start = bar + 1;
+  }
+  const bool v2 = count == 10;
+  if (count != 9 && !v2) return std::nullopt;
 
-  TraceEntry entry;
   const auto op = op_from_name(fields[0]);
   const auto pid = parse_u64(fields[1]);
   const auto timestamp = parse_u64(fields[2]);
-  const auto path = unescape_field(fields[3]);
-  const auto dest = unescape_field(fields[4]);
+  auto path = unescape_field(fields[3]);
+  auto dest = unescape_field(fields[4]);
   const auto mode = parse_u64(fields[5]);
   const auto offset = parse_u64(fields[6]);
   const auto length = parse_u64(fields[7]);
   const auto handle = v2 ? parse_u64(fields[8]) : std::optional<std::uint64_t>(0);
-  const auto data = hex_decode(fields[v2 ? 9 : 8]);
+  auto data = hex_decode(fields[v2 ? 9 : 8]);
   if (!op || !pid || !timestamp || !path || !dest || !mode || !offset ||
       !length || !handle || !data) {
     return std::nullopt;
   }
+  TraceEntry entry;
   entry.op = *op;
   entry.pid = static_cast<ProcessId>(*pid);
   entry.timestamp = *timestamp;
-  entry.path = *path;
-  entry.dest_path = *dest;
+  entry.path = std::move(*path);
+  entry.dest_path = std::move(*dest);
   entry.open_mode = static_cast<unsigned>(*mode);
   entry.offset = *offset;
   entry.length = *length;
   entry.handle = *handle;
-  entry.data = *data;
+  entry.data = std::move(*data);
   return entry;
 }
 
@@ -325,9 +328,14 @@ ExactReplayer::Outcome ExactReplayer::apply(const TraceEntry& entry) {
         auto data = fs.read(pid, h, static_cast<std::size_t>(entry.length));
         status = data ? Status::ok() : data.status();
       } else if (entry.op == OpType::write) {
+        if (entry.data.size() > kMaxFileBytes ||
+            entry.offset > kMaxFileBytes - entry.data.size()) {
+          return Outcome::failed;
+        }
         (void)fs.seek(pid, h, entry.offset);
         status = fs.write(pid, h, ByteView(entry.data));
       } else if (entry.op == OpType::truncate) {
+        if (entry.length > kMaxFileBytes) return Outcome::failed;
         status = fs.truncate(pid, h, entry.length);
       } else {
         status = fs.close(pid, h);

@@ -50,6 +50,9 @@ struct TraceEntry {
   HandleId handle = 0;
   /// Written bytes (empty in metadata-only traces or for non-writes).
   Bytes data;
+
+  /// Field-by-field equality (what a serialize/parse round trip keeps).
+  friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
 /// A filter that appends successful operations to a trace.
@@ -114,6 +117,14 @@ ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries
 /// Single-threaded, like the FileSystem it drives.
 class ExactReplayer {
  public:
+  /// Largest file a replayed write or truncate may produce. Entries
+  /// can come from outside the program (daemon clients), and the volume
+  /// keeps each file in one buffer, so an entry past this bound fails
+  /// (Outcome::failed) instead of allocating what its numbers ask for.
+  /// The simulator's largest file, 7-zip's archive of the whole 283 MiB
+  /// corpus, stays under 130 MiB.
+  static constexpr std::uint64_t kMaxFileBytes = std::uint64_t{1} << 30;
+
   /// Replays onto `fs` (non-owning; must outlive the replayer).
   explicit ExactReplayer(FileSystem& fs) : fs_(&fs) {}
 

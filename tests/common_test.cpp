@@ -68,6 +68,41 @@ TEST(Hex, DecodeRejectsNonHex) {
   EXPECT_FALSE(hex_decode("zz").has_value());
 }
 
+TEST(Hex, DecodeMatchesScalarReferenceOnEveryBytePair) {
+  // The reference decoder the table-driven one must agree with.
+  const auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      const std::string pair = {static_cast<char>(a), static_cast<char>(b)};
+      const int hi = nibble(pair[0]);
+      const int lo = nibble(pair[1]);
+      // Bare, and between valid digits so a bad byte anywhere rejects.
+      for (const std::string& input : {pair, "0f" + pair + "A9"}) {
+        const auto decoded = hex_decode(input);
+        if (hi < 0 || lo < 0) {
+          EXPECT_FALSE(decoded.has_value()) << a << "," << b;
+          continue;
+        }
+        ASSERT_TRUE(decoded.has_value()) << a << "," << b;
+        const Bytes expected =
+            input.size() == 2
+                ? Bytes{static_cast<std::uint8_t>(hi * 16 + lo)}
+                : Bytes{0x0f, static_cast<std::uint8_t>(hi * 16 + lo), 0xa9};
+        EXPECT_EQ(*decoded, expected) << a << "," << b;
+      }
+    }
+    // Odd lengths are rejected whatever the bytes.
+    EXPECT_FALSE(hex_decode(std::string(1, static_cast<char>(a))).has_value());
+    EXPECT_FALSE(hex_decode("00" + std::string(1, static_cast<char>(a))).has_value());
+  }
+  EXPECT_EQ(hex_decode(""), std::optional<Bytes>(Bytes{}));
+}
+
 TEST(Hex, EmptyIsEmpty) {
   EXPECT_EQ(hex_encode(ByteView()), "");
   const auto decoded = hex_decode("");

@@ -1,21 +1,26 @@
 // cryptodropd tests (ctest label: daemon): admission-control shedding
 // order, tenant lifecycle under concurrent load, drain/shutdown
-// determinism, the registry's double-attach invariant, overload
-// behavior (shed, never block, never lose a ransomware verdict), and
-// the parity gate — golden campaign + benign suite replayed through a
-// live daemon by 8 concurrent tenants must produce bit-identical
-// scoreboards. CI runs this binary under TSan.
+// determinism, racing attaches of one tenant id, overload behavior
+// (shed, never block, never lose a ransomware verdict), socket framing
+// and the request caps, and the parity gate — golden campaign + benign
+// suite replayed through a live daemon by 8 concurrent tenants must
+// produce bit-identical scoreboards. CI runs this binary under TSan.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,6 +60,28 @@ QueueItem op_item(vfs::TraceEntry entry) {
   return item;
 }
 
+/// Deepest array/object nesting in a parsed document (a scalar is 0).
+std::size_t nesting_depth(const JsonValue& value) {
+  std::size_t deepest = 0;
+  for (const JsonValue& item : value.items) {
+    deepest = std::max(deepest, nesting_depth(item));
+  }
+  for (const auto& field : value.fields) {
+    deepest = std::max(deepest, nesting_depth(field.second));
+  }
+  const bool container = value.kind == JsonValue::Kind::array ||
+                         value.kind == JsonValue::Kind::object;
+  return deepest + (container ? 1 : 0);
+}
+
+/// Value of one daemon-wide counter.
+std::uint64_t counter_value(const Daemon& daemon, std::string_view name) {
+  for (const obs::CounterSnapshot& counter : daemon.metrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
 /// Raw AF_UNIX line client for the `watch` stream tests: unlike
 /// DaemonClient (one request, one response) it keeps reading frames
 /// the server pushes without a matching request.
@@ -84,6 +111,18 @@ class StreamClient {
     const std::string framed = line + "\n";
     return ::write(fd_, framed.data(), framed.size()) ==
            static_cast<ssize_t>(framed.size());
+  }
+
+  /// Writes `bytes` as they are (no newline added), retrying short
+  /// writes.
+  bool send_raw(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t sent = ::write(fd_, bytes.data(), bytes.size());
+      if (sent < 0 && errno == EINTR) continue;
+      if (sent <= 0) return false;
+      bytes.remove_prefix(static_cast<std::size_t>(sent));
+    }
+    return true;
   }
 
   /// Blocking read of the next full line. False on EOF or error.
@@ -237,6 +276,96 @@ TEST(BoundedOpQueueTest, SpawnsAreNeverShedEvenOverCapacity) {
   EXPECT_EQ(queue.depth(), 2u);  // Over capacity by design.
 }
 
+// --- wire: JSON reader ---------------------------------------------------
+
+TEST(WireJsonTest, EscapesAtStartMiddleAndEndOfLongRuns) {
+  const std::string run(100000, 'a');
+  const auto parse_str = [](const std::string& body) -> std::optional<std::string> {
+    const std::optional<JsonValue> value = parse_json("\"" + body + "\"");
+    if (!value.has_value() || value->kind != JsonValue::Kind::string) {
+      return std::nullopt;
+    }
+    return value->str;
+  };
+  EXPECT_EQ(parse_str(run), run);
+  EXPECT_EQ(parse_str("\\n" + run), "\n" + run);
+  EXPECT_EQ(parse_str(run + "\\\"" + run), run + "\"" + run);
+  EXPECT_EQ(parse_str(run + "\\u00e9"), run + "\xc3\xa9");
+  EXPECT_EQ(parse_str(run + "\\\\"), run + "\\");
+  EXPECT_EQ(parse_str("\\t" + run + "\\/" + run + "\\\""),
+            "\t" + run + "/" + run + "\"");
+  // Many escaped quotes before the closing one.
+  std::string quotes;
+  std::string decoded;
+  for (int i = 0; i < 2000; ++i) {
+    quotes += "\\\"x";
+    decoded += "\"x";
+  }
+  EXPECT_EQ(parse_str(quotes + run), decoded + run);
+  // Unterminated, a dangling escape, a bad escape and a short \u.
+  EXPECT_FALSE(parse_json("\"" + run).has_value());
+  EXPECT_FALSE(parse_json("\"" + run + "\\").has_value());
+  EXPECT_FALSE(parse_json("\"" + run + "\\\"").has_value());
+  EXPECT_FALSE(parse_str(run + "\\q").has_value());
+  EXPECT_FALSE(parse_json("\"" + run + "\\u00\"").has_value());
+}
+
+TEST(WireJsonTest, NestingDepthIsCapped) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth)).has_value());
+  EXPECT_FALSE(parse_json(nested(kMaxJsonDepth + 1)).has_value());
+  std::string objects;
+  for (std::size_t i = 0; i < kMaxJsonDepth; ++i) objects += "{\"k\":";
+  EXPECT_TRUE(parse_json(objects + "1" + std::string(kMaxJsonDepth, '}'))
+                  .has_value());
+  EXPECT_FALSE(
+      parse_json("[" + objects + "1" + std::string(kMaxJsonDepth, '}') + "]")
+          .has_value());
+}
+
+// --- LineFramer: read boundaries ------------------------------------------
+
+TEST(LineFramerTest, LinesEndingOnAndCrossingTheReadBoundary) {
+  constexpr std::size_t kChunk = LineFramer::kReadChunk;
+  const std::string on_boundary(kChunk - 1, 'a');  // Its '\n' ends read 1.
+  const std::string short_line(100, 'b');
+  const std::string crossing(kChunk, 'c');  // Spans reads 2 and 3.
+  const std::string last = "tail";
+  const std::string stream = on_boundary + "\n" + short_line + "\n" +
+                             crossing + "\n" + last + "\n";
+  // Every byte sits in the pipe before the first read, so each fill()
+  // returns exactly min(kChunk, bytes left).
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_GE(::fcntl(fds[1], F_SETPIPE_SZ, 1 << 20),
+            static_cast<int>(stream.size()));
+  ASSERT_EQ(::write(fds[1], stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  ::close(fds[1]);
+
+  LineFramer framer;
+  std::string_view line;
+  EXPECT_EQ(framer.next(&line), LineFramer::Next::partial);
+  ASSERT_EQ(framer.fill(fds[0]), static_cast<ssize_t>(kChunk));
+  ASSERT_EQ(framer.next(&line), LineFramer::Next::line);
+  EXPECT_EQ(line, on_boundary);
+  EXPECT_EQ(framer.next(&line), LineFramer::Next::partial);
+  ASSERT_EQ(framer.fill(fds[0]), static_cast<ssize_t>(kChunk));
+  ASSERT_EQ(framer.next(&line), LineFramer::Next::line);
+  EXPECT_EQ(line, short_line);
+  EXPECT_EQ(framer.next(&line), LineFramer::Next::partial);
+  ASSERT_GT(framer.fill(fds[0]), 0);
+  ASSERT_EQ(framer.next(&line), LineFramer::Next::line);
+  EXPECT_EQ(line, crossing);
+  ASSERT_EQ(framer.next(&line), LineFramer::Next::line);
+  EXPECT_EQ(line, last);
+  EXPECT_EQ(framer.next(&line), LineFramer::Next::partial);
+  EXPECT_EQ(framer.fill(fds[0]), 0);  // End of stream.
+  ::close(fds[0]);
+}
+
 // --- Daemon fixtures ---------------------------------------------------
 
 class DaemonTest : public ::testing::Test {
@@ -314,15 +443,51 @@ TEST_F(DaemonTest, AttachRejectsDuplicateAndEmptyIds) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
-TEST_F(DaemonTest, RegistryAbortsOnDoubleInsert) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST_F(DaemonTest, RegistryRejectsDoubleInsert) {
   TenantRegistry registry;
   auto first = std::make_shared<TenantState>("twin", env->base_fs,
                                              core::ScoringConfig{});
-  registry.insert(first);
+  EXPECT_TRUE(registry.insert(first));
   auto second = std::make_shared<TenantState>("twin", env->base_fs,
                                               core::ScoringConfig{});
-  EXPECT_DEATH(registry.insert(second), "attached twice");
+  EXPECT_FALSE(registry.insert(second));
+  EXPECT_EQ(registry.find("twin"), first);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST_F(DaemonTest, ConcurrentAttachesOfOneIdHaveExactlyOneWinner) {
+  // Every thread passes attach()'s pre-check while the registry is
+  // still empty, so insert() alone must decide: one attach wins per
+  // round, the rest get the "already attached" error, nobody aborts.
+  Daemon daemon(env->base_fs, small_options(2, 64));
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 32;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> ready{0};
+    std::atomic<int> wins{0};
+    std::atomic<int> duplicates{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        const Status status = daemon.attach("contested");
+        if (status.is_ok()) {
+          wins.fetch_add(1);
+        } else if (status.message().find("already attached") !=
+                   std::string::npos) {
+          duplicates.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(wins.load(), 1) << "round " << round;
+    EXPECT_EQ(duplicates.load(), kThreads - 1) << "round " << round;
+    ASSERT_TRUE(daemon.detach("contested").is_ok());
+  }
+  EXPECT_EQ(daemon.tenants().size(), 0u);
+  daemon.shutdown(/*drain_first=*/true);
 }
 
 TEST_F(DaemonTest, AttachDetachUnderConcurrentSubmitLoad) {
@@ -540,6 +705,32 @@ TEST_F(DaemonTest, OverloadShedsCountsEverythingAndKeepsVerdict) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+TEST_F(DaemonTest, OpsPastTheReplayFileBoundFailInsteadOfAllocating) {
+  // A client names file sizes in its ops; one that asks for a terabyte
+  // must fail that op, not make the worker allocate it and abort.
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ASSERT_TRUE(daemon.attach("huge").is_ok());
+  ASSERT_TRUE(daemon.spawn("huge", 100, "writer", 0).is_ok());
+  std::vector<vfs::TraceEntry> entries(4, write_entry());
+  for (vfs::TraceEntry& entry : entries) {
+    entry.pid = 100;
+    entry.path = "users/victim/documents/huge.bin";
+  }
+  entries[0].op = vfs::OpType::open;
+  entries[0].open_mode = vfs::kWrite | vfs::kCreate;
+  entries[1].offset = std::uint64_t{1} << 40;
+  entries[1].data = {0x42};
+  entries[1].length = 1;
+  entries[2].op = vfs::OpType::truncate;
+  entries[2].length = vfs::ExactReplayer::kMaxFileBytes + 1;
+  entries[3].op = vfs::OpType::close;
+  ASSERT_TRUE(daemon.submit("huge", std::move(entries)).is_ok());
+  daemon.drain();
+  const Result<core::EngineSnapshot> snapshot = daemon.verdicts("huge");
+  ASSERT_TRUE(snapshot.is_ok());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 // --- control API -------------------------------------------------------
 
 TEST_F(DaemonTest, ControlApiEnvelopeAndErrors) {
@@ -567,6 +758,53 @@ TEST_F(DaemonTest, ControlApiEnvelopeAndErrors) {
   }
   EXPECT_EQ(requests, 5u);
   EXPECT_EQ(errors, 3u);
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, DeeplyNestedRequestGetsTheNotAnObjectEnvelope) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  EXPECT_EQ(dispatcher.handle_line(std::string(1 << 20, '[')),
+            "{\"ok\":false,\"error\":\"request is not a JSON object\"}");
+  EXPECT_EQ(dispatcher.handle_line("{\"type\":\"ping\"}"),
+            "{\"ok\":true,\"pong\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, RepliesNestWellUnderTheJsonDepthCap) {
+  const Recorded recorded = record_sample(encryptor_spec());
+  DaemonOptions options = small_options(1, 4096);
+  options.trace.enabled = true;
+  Daemon daemon(env->base_fs, options);
+  ControlDispatcher dispatcher(daemon);
+  ASSERT_TRUE(daemon.attach("deep").is_ok());
+  send_spawns(daemon, "deep", recorded.result);
+  ASSERT_TRUE(daemon.submit("deep", recorded.entries).is_ok());
+  daemon.drain();
+  const Result<core::EngineSnapshot> snapshot = daemon.verdicts("deep");
+  ASSERT_TRUE(snapshot.is_ok());
+  vfs::ProcessId suspended = 0;
+  for (const core::ProcessReport& report : snapshot.value().processes) {
+    if (report.suspended) suspended = report.pid;
+  }
+  ASSERT_NE(suspended, 0u);
+  const std::vector<std::string> requests = {
+      "{\"type\":\"metrics\"}",
+      "{\"type\":\"metrics\",\"tenant\":\"deep\"}",
+      "{\"type\":\"trace\"}",
+      "{\"type\":\"verdicts\",\"tenant\":\"deep\"}",
+      "{\"type\":\"explain\",\"tenant\":\"deep\",\"pid\":" +
+          std::to_string(suspended) + "}",
+      "{\"type\":\"events\"}",
+      "{\"type\":\"health\"}",
+      "{\"type\":\"tenants\"}"};
+  for (const std::string& request : requests) {
+    const std::string reply = dispatcher.handle_line(request);
+    const std::optional<JsonValue> parsed = parse_json(reply);
+    ASSERT_TRUE(parsed.has_value()) << request;
+    EXPECT_TRUE(parsed->bool_or("ok", false)) << request;
+    EXPECT_LE(nesting_depth(*parsed), kMaxJsonDepth / 8) << request;
+  }
   daemon.shutdown(/*drain_first=*/true);
 }
 
@@ -866,6 +1104,112 @@ TEST_F(DaemonTest, SocketServerRoundTripAndShutdown) {
   }
   server.wait();  // The serve loop exits once the daemon is down.
   EXPECT_TRUE(daemon.shutdown_complete());
+}
+
+TEST_F(DaemonTest, SocketFramesPipelinedAndSplitRequests) {
+  const std::string path =
+      "/tmp/cryptodropd_framing_" + std::to_string(::getpid()) + ".sock";
+  Daemon daemon(env->base_fs, small_options(1, 256));
+  SocketServer server(daemon, path);
+  ASSERT_TRUE(server.start().is_ok());
+  StreamClient client(path);
+  ASSERT_TRUE(client.connected());
+  std::string reply;
+  // Two requests in one write: two replies, in order.
+  ASSERT_TRUE(client.send_raw(
+      "{\"type\":\"ping\"}\n{\"type\":\"attach\",\"tenant\":\"p\"}\n"));
+  ASSERT_TRUE(client.read_line(&reply));
+  EXPECT_EQ(reply, "{\"ok\":true,\"pong\":true}");
+  ASSERT_TRUE(client.read_line(&reply));
+  EXPECT_EQ(reply, "{\"ok\":true,\"tenant\":\"p\"}");
+  // One request split at every byte offset: exactly one reply each,
+  // and each reply echoes its own request.
+  const std::string probe = "{\"type\":\"attach\",\"tenant\":\"split_00\"}\n";
+  for (std::size_t cut = 1; cut < probe.size(); ++cut) {
+    std::string request = probe;
+    const std::string id = std::to_string(cut / 10) + std::to_string(cut % 10);
+    request.replace(request.find("00"), 2, id);
+    ASSERT_TRUE(client.send_raw(std::string_view(request).substr(0, cut)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(client.send_raw(std::string_view(request).substr(cut)));
+    ASSERT_TRUE(client.read_line(&reply));
+    EXPECT_EQ(reply, "{\"ok\":true,\"tenant\":\"split_" + id + "\"}");
+  }
+  ASSERT_TRUE(client.send_line("{\"type\":\"ping\"}"));
+  ASSERT_TRUE(client.read_line(&reply));
+  EXPECT_EQ(reply, "{\"ok\":true,\"pong\":true}");
+  EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), 0u);
+  daemon.shutdown(/*drain_first=*/true);
+  server.wait();
+}
+
+TEST_F(DaemonTest, OversizedRequestGetsEnvelopeThenEof) {
+  const std::string path =
+      "/tmp/cryptodropd_oversize_" + std::to_string(::getpid()) + ".sock";
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  SocketServer server(daemon, path);
+  ASSERT_TRUE(server.start().is_ok());
+  StreamClient client(path);
+  ASSERT_TRUE(client.connected());
+  // kMaxLineBytes + 1 bytes and no newline, sent from a 1 MiB block.
+  const std::string block(std::size_t{1} << 20, 'x');
+  for (std::size_t sent = 0; sent < kMaxLineBytes; sent += block.size()) {
+    ASSERT_TRUE(client.send_raw(block));
+  }
+  ASSERT_TRUE(client.send_raw("x"));
+  std::string reply;
+  ASSERT_TRUE(client.read_line(&reply));
+  const std::optional<JsonValue> parsed = parse_json(reply);
+  ASSERT_TRUE(parsed.has_value()) << reply;
+  EXPECT_FALSE(parsed->bool_or("ok", true));
+  EXPECT_EQ(parsed->string_or("code", ""), "invalid_argument");
+  EXPECT_FALSE(client.read_line(&reply)) << "connection left open: " << reply;
+  EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), 1u);
+  // The daemon keeps serving other connections.
+  DaemonClient other(path);
+  const Result<std::string> pong = other.request("{\"type\":\"ping\"}");
+  ASSERT_TRUE(pong.is_ok());
+  EXPECT_EQ(pong.value(), "{\"ok\":true,\"pong\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+  server.wait();
+}
+
+TEST_F(DaemonTest, RequestReplyTimeGrowsLinearlyWithSize) {
+  const std::string path =
+      "/tmp/cryptodropd_scaling_" + std::to_string(::getpid()) + ".sock";
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  SocketServer server(daemon, path);
+  ASSERT_TRUE(server.start().is_ok());
+  DaemonClient client(path);
+  // Best of three round trips for a `ping` padded to about `bytes` with
+  // 128 KiB strings, the shape of a submit's hex-encoded 64 KiB writes.
+  // A ratio of best times, not a wall-clock bound, so slow (sanitizer)
+  // builds and a busy host do not make it flaky.
+  const auto best_reply_seconds = [&](std::size_t bytes) {
+    const std::string element = "\"" + std::string(128 * 1024, 'a') + "\"";
+    std::string request = "{\"type\":\"ping\",\"pad\":[" + element;
+    while (request.size() + element.size() + 3 <= bytes) {
+      request += "," + element;
+    }
+    request += "]}";
+    double best = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const Result<std::string> reply = client.request(request);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_EQ(reply.is_ok() ? reply.value() : reply.status().to_string(),
+                "{\"ok\":true,\"pong\":true}");
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double small = best_reply_seconds(std::size_t{4} << 20);
+  const double large = best_reply_seconds(std::size_t{32} << 20);
+  EXPECT_LE(large, 24.0 * small)
+      << "4 MiB: " << small << " s, 32 MiB: " << large << " s";
+  daemon.shutdown(/*drain_first=*/true);
+  server.wait();
 }
 
 // --- the watch stream --------------------------------------------------

@@ -64,6 +64,61 @@ TEST(TraceFormat, RejectsMalformedInput) {
   EXPECT_TRUE(ok->empty());
 }
 
+TEST(TraceFormat, EntryLinesRoundTripAwkwardFieldsAndV1) {
+  TraceEntry renamed;
+  renamed.op = OpType::rename;
+  renamed.pid = 7;
+  renamed.timestamp = 123456789;
+  renamed.path = "|lead\\ing|\nnew\\line|";
+  renamed.dest_path = "a|b\\c\nd";
+  TraceEntry empty_write;
+  empty_write.op = OpType::write;
+  empty_write.pid = 3;
+  empty_write.path = "docs/empty.txt";
+  empty_write.handle = 42;
+  TraceEntry full_write = empty_write;
+  full_write.offset = 4096;
+  full_write.data = {0x00, 0x7f, 0x80, 0xff, 0x10};
+  full_write.length = full_write.data.size();
+  full_write.open_mode = kWrite | kCreate;
+  for (const TraceEntry& entry : {renamed, empty_write, full_write}) {
+    const std::string line = serialize_trace_entry(entry);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+    const std::optional<TraceEntry> parsed = parse_trace_entry(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_TRUE(*parsed == entry) << line;
+  }
+  // v1 lines have no handle field; it reads as 0.
+  const std::optional<TraceEntry> v1 =
+      parse_trace_entry("write|3|9|docs/a\\pb.txt||0|16|3|00ff7F");
+  ASSERT_TRUE(v1.has_value());
+  EXPECT_EQ(v1->path, "docs/a|b.txt");
+  EXPECT_EQ(v1->offset, 16u);
+  EXPECT_EQ(v1->handle, 0u);
+  EXPECT_EQ(v1->data, (Bytes{0x00, 0xff, 0x7f}));
+  const std::optional<TraceEntry> v1_empty =
+      parse_trace_entry("close|3|9|docs/a.txt||0|0|0|");
+  ASSERT_TRUE(v1_empty.has_value());
+  EXPECT_TRUE(v1_empty->data.empty());
+}
+
+TEST(TraceFormat, EntryLinesRejectWrongFieldCountsAndBadPayloads) {
+  // 8 and 11 fields.
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|0").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|0|0|00|").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|0|0|00|00").has_value());
+  EXPECT_FALSE(parse_trace_entry("").has_value());
+  // Non-hex and odd-length payloads, v1 and v2.
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|1|0g").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|1|7|0g").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|1|7|abc").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p||0|0|1|7|ab\\").has_value());
+  // A dangling or unknown escape in a path.
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p\\||0|0|1|7|ab").has_value());
+  EXPECT_FALSE(parse_trace_entry("write|1|0|p\\x||0|0|1|7|ab").has_value());
+  EXPECT_TRUE(parse_trace_entry("write|1|0|p||0|0|1|7|ab").has_value());
+}
+
 TEST(TraceFormat, MetadataOnlyOmitsPayload) {
   FileSystem fs;
   TraceRecorder recorder(/*capture_content=*/false);
