@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
 
   // --- 3. CryptoDrop on the identical campaign ---------------------------
   std::printf("== CryptoDrop on the same campaign ==\n\n");
-  const auto results = harness::run_campaign(env, specs, core::ScoringConfig{});
+  const auto results = harness::run_campaign(env, specs, core::ScoringConfig{},
+                                             benchutil::runner_options(scale));
   std::size_t detected = 0;
   std::vector<double> losses;
   for (const auto& r : results) {

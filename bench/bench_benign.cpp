@@ -17,15 +17,12 @@ int main(int argc, char** argv) {
                             "Del", "Funnel", "Union", "Detected"});
   std::size_t false_positives = 0;
   std::size_t union_count = 0;
-  std::vector<harness::BenignRunResult> results;
-  for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
-    std::fprintf(stderr, "[bench] %s...\n", workload.name.c_str());
-    const auto r = harness::run_benign_workload_filtered(
-        env, workload, core::ScoringConfig{}, 9, nullptr,
-        benchutil::trace_options(scale));
+  const auto results = harness::run_campaign(env, sim::all_benign_workloads(),
+                                             core::ScoringConfig{}, 9,
+                                             benchutil::runner_options(scale));
+  for (const harness::BenignRunResult& r : results) {
     if (r.detected) ++false_positives;
     if (r.union_triggered) ++union_count;
-    results.push_back(r);
     table.add_row({r.app, std::to_string(r.final_score),
                    std::to_string(r.report.entropy_events),
                    std::to_string(r.report.type_change_events),

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 
 #include "common/stats.hpp"
-#include "harness/chaos.hpp"
 #include "sim/benign/benign.hpp"
 
 using namespace cryptodrop;
@@ -37,18 +36,16 @@ int main(int argc, char** argv) {
                             "Benign FP", "io_error", "denied", "short",
                             "delayed"});
   for (const double rate : kRates) {
-    harness::FaultCampaignOptions options;
-    options.plan = vfs::FaultPlan::uniform(rate, kFaultSeed);
+    harness::TrialOptions options = benchutil::runner_options(scale);
+    options.faults = vfs::FaultPlan::uniform(rate, kFaultSeed);
 
     std::fprintf(stderr, "[bench] fault rate %s: %zu samples + %zu benign...\n",
                  harness::fmt_percent(rate, 0).c_str(), specs.size(),
                  workloads.size());
     // rate 0 exercises the same chaos code path, just with no faults —
     // its row doubles as the fault-free baseline.
-    const auto results = harness::run_campaign_faulted(
-        env, specs, config, options, benchutil::runner_options(scale));
-    const auto benign = harness::run_benign_suite_faulted(
-        env, workloads, config, 9, options, benchutil::runner_options(scale));
+    const auto results = harness::run_campaign(env, specs, config, options);
+    const auto benign = harness::run_campaign(env, workloads, config, 9, options);
     benchutil::maybe_write_metrics(scale, results);
     benchutil::maybe_write_trace(scale, results);
 

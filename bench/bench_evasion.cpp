@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[bench] evasion: %s\n", config.name);
     sim::SampleSpec spec = base_sample(1337);
     config.apply(spec.profile);
-    const auto r = harness::run_ransomware_sample(env, spec, core::ScoringConfig{});
+    const auto r = harness::run_trial(env, spec, core::ScoringConfig{});
     const double destroyed =
         r.sample.bytes_touched == 0
             ? 0.0
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
       spec.profile.worker_processes = workers;
       core::ScoringConfig config;
       config.enable_family_scoring = family;
-      const auto r = harness::run_ransomware_sample(env, spec, config);
+      const auto r = harness::run_trial(env, spec, config);
       split.add_row({std::to_string(workers), family ? "on" : "OFF",
                      r.detected ? "yes" : "NO", std::to_string(r.files_lost)});
     }

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[bench] running %zu apps on %zu workers...\n",
                sim::figure6_workloads().size(),
                harness::effective_jobs(scale.jobs));
-  const auto results = harness::run_benign_suite_parallel(
+  const auto results = harness::run_campaign(
       env, sim::figure6_workloads(), unbounded, /*seed=*/9,
       benchutil::runner_options(scale));
   benchutil::maybe_write_metrics(scale, results);

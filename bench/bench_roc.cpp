@@ -139,13 +139,13 @@ int main(int argc, char** argv) {
     unbounded.entropy = runs[i].entropy;
     std::fprintf(stderr, "[bench] backend %s: campaign (%zu samples)...\n",
                  runs[i].label.c_str(), specs.size());
-    const auto campaign = harness::run_campaign_parallel(
-        env, specs, unbounded, benchutil::runner_options(scale));
+    const auto campaign =
+        harness::run_campaign(env, specs, unbounded, benchutil::runner_options(scale));
     for (const auto& r : campaign) data[i].malicious.push_back(r.final_score);
 
     std::fprintf(stderr, "[bench] backend %s: benign suite...\n",
                  runs[i].label.c_str());
-    const auto benign = harness::run_benign_suite_parallel(
+    const auto benign = harness::run_campaign(
         env, sim::all_benign_workloads(), unbounded, /*seed=*/9,
         benchutil::runner_options(scale));
     if (runs[i].label == "shannon") {
@@ -167,8 +167,7 @@ int main(int argc, char** argv) {
     paper.entropy = runs[i].entropy;
     std::fprintf(stderr, "[bench] backend %s: paper-threshold campaign...\n",
                  runs[i].label.c_str());
-    const auto live = harness::run_campaign_parallel(
-        env, specs, paper, benchutil::runner_options(scale));
+    const auto live = harness::run_campaign(env, specs, paper, benchutil::runner_options(scale));
     for (const auto& r : live) data[i].detected_at_paper += r.detected ? 1 : 0;
   }
 
@@ -253,8 +252,8 @@ int main(int argc, char** argv) {
     config.union_threshold = std::min(config.union_threshold, threshold);
     std::size_t detected = 0;
     std::vector<double> losses;
-    const auto results = harness::run_campaign_parallel(
-        env, specs, config, benchutil::runner_options(scale));
+    const auto results =
+        harness::run_campaign(env, specs, config, benchutil::runner_options(scale));
     benchutil::maybe_write_metrics(scale, results);  // one sidecar per threshold
     benchutil::maybe_write_trace(scale, results);
     for (const auto& r : results) {

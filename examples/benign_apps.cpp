@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   harness::TextTable table({"Application", "Score", "Detected", "Union"});
   std::size_t false_positives = 0;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
-    const harness::BenignRunResult r =
-        harness::run_benign_workload(env, workload, config, /*seed=*/99);
+    const harness::BenignRunResult r = harness::run_trial(env, workload, config, /*seed=*/99);
     if (r.detected) ++false_positives;
     table.add_row({r.app, std::to_string(r.final_score),
                    r.detected ? (r.expected_false_positive ? "yes (expected)" : "YES")

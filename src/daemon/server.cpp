@@ -79,11 +79,12 @@ bool write_line(int fd, std::string_view line) {
 }
 
 /// Writes what it can of `out` to a non-blocking `fd`, keeping the
-/// rest buffered. False only on a fatal connection error.
+/// rest buffered. False only on a fatal connection error; a peer that
+/// hung up is one (EPIPE, with MSG_NOSIGNAL instead of SIGPIPE).
 bool flush_some(int fd, std::string& out) {
   std::size_t sent = 0;
   while (sent < out.size()) {
-    const ssize_t n = ::write(fd, out.data() + sent, out.size() - sent);
+    const ssize_t n = ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;

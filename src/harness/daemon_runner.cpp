@@ -130,8 +130,7 @@ DaemonParityReport run_daemon_parity(
   // the engine denied never appear.
   for (const sim::SampleSpec& spec : samples) {
     vfs::TraceRecorder recorder(/*capture_content=*/true);
-    RansomwareRunResult result =
-        run_ransomware_sample_filtered(env, spec, config, &recorder);
+    RansomwareRunResult result = run_trial(env, spec, config, {}, &recorder);
     goldens.push_back(make_golden(goldens.size(), result.family,
                                   result.detected, result.scoreboard,
                                   std::move(result.roster), base_count,
@@ -139,8 +138,7 @@ DaemonParityReport run_daemon_parity(
   }
   for (const sim::BenignWorkload& workload : benign) {
     vfs::TraceRecorder recorder(/*capture_content=*/true);
-    BenignRunResult result = run_benign_workload_filtered(
-        env, workload, config, benign_seed, &recorder);
+    BenignRunResult result = run_trial(env, workload, config, benign_seed, {}, &recorder);
     goldens.push_back(make_golden(goldens.size(), result.app, result.detected,
                                   result.scoreboard, std::move(result.roster),
                                   base_count, recorder.entries()));

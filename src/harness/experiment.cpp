@@ -1,12 +1,14 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <stdexcept>
 
 #include "common/stats.hpp"
 #include "core/session.hpp"
+#include "harness/runner.hpp"
 #include "vfs/path.hpp"
-#include "vfs/recording_filter.hpp"
 
 namespace cryptodrop::harness {
 
@@ -30,127 +32,179 @@ corpus::CorpusSpec small_corpus_spec(std::size_t files, std::size_t dirs) {
   return spec;
 }
 
-RansomwareRunResult run_ransomware_sample(const Environment& env,
-                                          const sim::SampleSpec& spec,
-                                          const core::ScoringConfig& config) {
-  return run_ransomware_sample_filtered(env, spec, config, nullptr);
-}
+namespace {
 
-RansomwareRunResult run_ransomware_sample_filtered(
-    const Environment& env, const sim::SampleSpec& spec,
-    const core::ScoringConfig& config, vfs::Filter* below_engine,
-    const obs::TraceOptions& trace) {
-  core::MonitorSession session(env.base_fs, config, trace);
+/// Consecutive denials a sample shrugs off under a fault plan. A
+/// first-denial quitter would stop on a spurious injected denial with
+/// near-zero files lost on its own, masking the detector.
+constexpr std::size_t kChaosGiveUpAfterDenials = 4;
+
+/// Runs `body(fs, pid, result)` as process `name` in a fresh session and
+/// fills the fields both result kinds share. Stack order: engine,
+/// `recorder`, `below_engine`, then the fault filter — lowest. A fault
+/// injected there fails the op before it reaches the volume, and every
+/// filter above observes the failed outcome in its post callback.
+template <typename Result, typename Body>
+Result session_trial(const Environment& env, const core::ScoringConfig& config,
+                     const TrialOptions& options, std::uint64_t fault_seed,
+                     vfs::Filter* recorder, vfs::Filter* below_engine,
+                     const std::string& name, const Body& body) {
+  std::optional<vfs::FaultInjectionFilter> faults;
+  if (options.faults) faults.emplace(options.faults->reseeded(fault_seed));
+  core::MonitorSession session(env.base_fs, config, options.trace);
   vfs::FileSystem& fs = session.fs();
-  vfs::RecordingFilter recorder;
-  fs.attach_filter(&recorder);
-  // Stack order: engine, recorder, then the caller's filter — lowest.
-  // A fault injected there fails the op before it reaches the volume,
-  // and both the engine and the recorder observe the failed outcome in
-  // their post callbacks.
-  if (below_engine != nullptr) fs.attach_filter(below_engine);
+  const std::array<vfs::Filter*, 3> stack = {recorder, below_engine,
+                                             faults ? &*faults : nullptr};
+  for (vfs::Filter* filter : stack) {
+    if (filter != nullptr) fs.attach_filter(filter);
+  }
 
-  const vfs::ProcessId pid = session.spawn(spec.family);
-  sim::RansomwareSample sample(spec.profile, spec.seed);
-
-  RansomwareRunResult result;
-  result.family = spec.family;
-  result.behavior = spec.behavior;
-  result.sample = sample.run(fs, pid, env.corpus.root);
-  result.files_lost = corpus::count_files_lost(fs, env.corpus);
+  const vfs::ProcessId pid = session.spawn(name);
+  Result result;
+  body(fs, pid, result);
   const core::EngineSnapshot snap = session.snapshot();
   result.report = snap.report_for(pid);
   result.scoreboard = snap;
   for (vfs::ProcessId p = 1; p <= fs.process_count(); ++p) {
-    result.roster.push_back({p, std::string(fs.process_name(p)),
-                             fs.process_parent(p)});
+    result.roster.push_back({p, std::string(fs.process_name(p)), fs.process_parent(p)});
   }
   result.metrics = snap.metrics;
-  // With family scoring, the root's report covers spawned workers; when
-  // an ablation disables it, a run halted by denials still counts as
-  // detected (every worker was individually flagged).
-  result.detected = result.report.suspended ||
-                    (!result.sample.ran_to_completion && result.sample.ops_denied > 0);
+  if (faults) result.metrics.merge(faults->metrics_snapshot());
+  result.detected = result.report.suspended;
   result.final_score = result.report.score;
   result.union_triggered = result.report.union_triggered;
-  result.union_count = result.report.union_count;
 
-  for (const std::string& dir : recorder.directories_touched_by(pid)) {
-    if (vfs::path_is_under(dir, env.corpus.root)) result.directories_touched.insert(dir);
+  for (vfs::Filter* filter : stack) {
+    if (filter != nullptr) fs.detach_filter(filter);
   }
-  // Extensions of *corpus* files the sample touched. Figure 5 reflects
-  // "the first files attacked by each sample", so the sample's own
-  // artifacts — ransom notes, .encrypted outputs — must not count;
-  // membership in the pristine manifest is the filter.
+  result.trace = session.trace_snapshot();
+  return result;
+}
+
+/// Distinct extensions of corpus files process `pid` read, wrote,
+/// renamed or removed — Figure 5. Figure 5 reflects "the first files
+/// attacked by each sample", so the sample's own artifacts — ransom
+/// notes, .encrypted outputs — must not count; membership in the
+/// pristine manifest is the filter.
+std::set<std::string> extensions_accessed(const std::vector<vfs::TraceEntry>& entries,
+                                          vfs::ProcessId pid,
+                                          const corpus::Corpus& corpus) {
   std::set<std::string> corpus_paths;
-  for (const corpus::ManifestEntry& entry : env.corpus.manifest) {
+  for (const corpus::ManifestEntry& entry : corpus.manifest) {
     corpus_paths.insert(entry.path);
   }
-  for (const vfs::RecordedOp& op : recorder.ops()) {
-    if (op.pid != pid || !op.succeeded) continue;
+  std::set<std::string> out;
+  for (const vfs::TraceEntry& op : entries) {
+    if (op.pid != pid) continue;
     if (op.op != vfs::OpType::read && op.op != vfs::OpType::write &&
         op.op != vfs::OpType::rename && op.op != vfs::OpType::remove) {
       continue;
     }
     if (!corpus_paths.contains(op.path)) continue;
     const std::string ext = vfs::path_extension(op.path);
-    if (!ext.empty()) result.extensions_accessed.insert(ext);
+    if (!ext.empty()) out.insert(ext);
   }
-
-  if (below_engine != nullptr) fs.detach_filter(below_engine);
-  fs.detach_filter(&recorder);
-  result.trace = session.trace_snapshot();
-  return result;
+  return out;
 }
 
-std::vector<RansomwareRunResult> run_campaign(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress) {
-  std::vector<RansomwareRunResult> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    results.push_back(run_ransomware_sample(env, specs[i], config));
-    if (progress) progress(i + 1, specs.size());
-  }
+/// Validates `config` and the fault plan once, then runs `trial(i)` for
+/// every index on the pool into index-addressed results.
+template <typename Result, typename Trial>
+std::vector<Result> parallel_trials(std::size_t count, const core::ScoringConfig& config,
+                                    const TrialOptions& options, const Trial& trial) {
+  Status valid = config.validate();
+  if (valid.is_ok() && options.faults) valid = options.faults->validate();
+  if (!valid.is_ok()) throw std::invalid_argument("run_campaign: " + valid.to_string());
+  std::vector<Result> results(count);
+  parallel_for(count, options, [&](std::size_t i) { results[i] = trial(i); });
   return results;
 }
 
-BenignRunResult run_benign_workload(const Environment& env,
-                                    const sim::BenignWorkload& workload,
-                                    const core::ScoringConfig& config,
-                                    std::uint64_t seed) {
-  return run_benign_workload_filtered(env, workload, config, seed, nullptr);
+}  // namespace
+
+RansomwareRunResult run_trial(const Environment& env, const sim::SampleSpec& spec,
+                              const core::ScoringConfig& config,
+                              const TrialOptions& options, vfs::Filter* below_engine) {
+  sim::RansomwareProfile profile = spec.profile;
+  if (options.faults) profile.give_up_after_denials = kChaosGiveUpAfterDenials;
+  vfs::TraceRecorder recorder(/*capture_content=*/false);
+  RansomwareRunResult result = session_trial<RansomwareRunResult>(
+      env, config, options, spec.seed, &recorder, below_engine, spec.family,
+      [&](vfs::FileSystem& fs, vfs::ProcessId pid, RansomwareRunResult& out) {
+        out.family = spec.family;
+        out.behavior = spec.behavior;
+        out.sample = sim::RansomwareSample(profile, spec.seed).run(fs, pid, env.corpus.root);
+        out.files_lost = corpus::count_files_lost(fs, env.corpus);
+        out.directories_touched = directories_touched(recorder.entries(), pid, env.corpus.root);
+        out.extensions_accessed = extensions_accessed(recorder.entries(), pid, env.corpus);
+      });
+  result.union_count = result.report.union_count;
+  // With family scoring, the root's report covers spawned workers; when
+  // an ablation disables it, a fault-free run halted by denials still
+  // counts as detected (every worker was individually flagged). Under
+  // faults an injected denial halts a sample just like a suspension, so
+  // only the engine's own verdict counts.
+  if (!options.faults && !result.sample.ran_to_completion && result.sample.ops_denied > 0) {
+    result.detected = true;
+  }
+  return result;
 }
 
-BenignRunResult run_benign_workload_filtered(
-    const Environment& env, const sim::BenignWorkload& workload,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    vfs::Filter* below_engine, const obs::TraceOptions& trace) {
-  core::MonitorSession session(env.base_fs, config, trace);
-  if (below_engine != nullptr) session.fs().attach_filter(below_engine);
+BenignRunResult run_trial(const Environment& env, const sim::BenignWorkload& workload,
+                          const core::ScoringConfig& config, std::uint64_t seed,
+                          const TrialOptions& options, vfs::Filter* below_engine) {
+  return session_trial<BenignRunResult>(
+      env, config, options, seed_from_string(workload.name) + seed, nullptr, below_engine,
+      workload.name, [&](vfs::FileSystem& fs, vfs::ProcessId pid, BenignRunResult& out) {
+        out.app = workload.name;
+        out.expected_false_positive = workload.expected_false_positive;
+        sim::WorkloadContext ctx{fs, pid, env.corpus.root, Rng(seed)};
+        workload.run(ctx);
+      });
+}
 
-  const vfs::ProcessId pid = session.spawn(workload.name);
-  sim::WorkloadContext ctx{session.fs(), pid, env.corpus.root, Rng(seed)};
-  workload.run(ctx);
+std::vector<RansomwareRunResult> run_campaign(const Environment& env,
+                                              const std::vector<sim::SampleSpec>& specs,
+                                              const core::ScoringConfig& config,
+                                              const TrialOptions& options) {
+  return parallel_trials<RansomwareRunResult>(specs.size(), config, options, [&](std::size_t i) {
+    return run_trial(env, specs[i], config, options);
+  });
+}
 
-  BenignRunResult result;
-  result.app = workload.name;
-  result.expected_false_positive = workload.expected_false_positive;
-  const core::EngineSnapshot snap = session.snapshot();
-  result.report = snap.report_for(pid);
-  result.scoreboard = snap;
-  for (vfs::ProcessId p = 1; p <= session.fs().process_count(); ++p) {
-    result.roster.push_back({p, std::string(session.fs().process_name(p)),
-                             session.fs().process_parent(p)});
+std::vector<BenignRunResult> run_campaign(const Environment& env,
+                                          const std::vector<sim::BenignWorkload>& workloads,
+                                          const core::ScoringConfig& config,
+                                          std::uint64_t seed, const TrialOptions& options) {
+  return parallel_trials<BenignRunResult>(workloads.size(), config, options, [&](std::size_t i) {
+    return run_trial(env, workloads[i], config, seed, options);
+  });
+}
+
+std::set<std::string> directories_touched(const std::vector<vfs::TraceEntry>& entries,
+                                          vfs::ProcessId pid, std::string_view root) {
+  std::set<std::string> out;
+  auto add = [&](const std::string& path) {
+    std::string dir = vfs::path_parent(path);
+    if (vfs::path_is_under(dir, root)) out.insert(std::move(dir));
+  };
+  for (const vfs::TraceEntry& op : entries) {
+    if (op.pid != pid) continue;
+    switch (op.op) {
+      case vfs::OpType::read:
+      case vfs::OpType::write:
+      case vfs::OpType::remove:
+        add(op.path);
+        break;
+      case vfs::OpType::rename:
+        add(op.path);
+        add(op.dest_path);
+        break;
+      default:
+        break;
+    }
   }
-  result.metrics = snap.metrics;
-  result.detected = result.report.suspended;
-  result.final_score = result.report.score;
-  result.union_triggered = result.report.union_triggered;
-  if (below_engine != nullptr) session.fs().detach_filter(below_engine);
-  result.trace = session.trace_snapshot();
-  return result;
+  return out;
 }
 
 obs::MetricsSnapshot merged_metrics(const std::vector<RansomwareRunResult>& results) {

@@ -6,8 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -17,7 +20,9 @@
 #include "sim/benign/benign.hpp"
 #include "sim/ransomware/families.hpp"
 #include "sim/ransomware/ransomware.hpp"
+#include "vfs/fault_filter.hpp"
 #include "vfs/filesystem.hpp"
+#include "vfs/trace.hpp"
 
 namespace cryptodrop::harness {
 
@@ -79,32 +84,6 @@ struct RansomwareRunResult {
   std::set<std::string> extensions_accessed;
 };
 
-/// Runs one ransomware sample in a fresh MonitorSession over a pristine
-/// clone of `env.base_fs` and reports the outcome. Deterministic in the
-/// spec's seed.
-RansomwareRunResult run_ransomware_sample(const Environment& env,
-                                          const sim::SampleSpec& spec,
-                                          const core::ScoringConfig& config);
-
-/// run_ransomware_sample() with an extra filter stacked *below* the
-/// engine (attached after it, nearer the volume) for the trial — the
-/// slot a FaultInjectionFilter occupies in a chaos run. `below_engine`
-/// may be null (plain run); it is attached before the sample starts and
-/// detached before returning, so one caller-owned filter serves exactly
-/// one trial. When `trace.enabled`, the trial session records spans and
-/// the result's `trace` carries the snapshot.
-RansomwareRunResult run_ransomware_sample_filtered(
-    const Environment& env, const sim::SampleSpec& spec,
-    const core::ScoringConfig& config, vfs::Filter* below_engine,
-    const obs::TraceOptions& trace = {});
-
-/// Runs the full Table-I campaign (all `specs`) and returns per-sample
-/// results. `progress` (nullable) is invoked after each sample.
-std::vector<RansomwareRunResult> run_campaign(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress = {});
-
 /// Outcome of one benign workload vs. CryptoDrop.
 struct BenignRunResult {
   std::string app;
@@ -124,20 +103,69 @@ struct BenignRunResult {
   obs::SpanSnapshot trace;
 };
 
-/// Runs one benign workload in a fresh MonitorSession; deterministic in
-/// `seed`.
-BenignRunResult run_benign_workload(const Environment& env,
-                                    const sim::BenignWorkload& workload,
-                                    const core::ScoringConfig& config,
-                                    std::uint64_t seed);
+/// How trials run: campaign workers, span tracing, and an optional fault
+/// plan. Plain value type.
+struct TrialOptions {
+  /// Campaign worker threads; 0 means one per hardware thread. A
+  /// campaign is bit-identical at any job count (runner.hpp).
+  std::size_t jobs = 0;
+  /// Invoked after each finished campaign trial with (finished, total).
+  /// Calls are serialized, but trials finish out of submission order.
+  std::function<void(std::size_t, std::size_t)> progress;
+  /// Span tracing for every trial. Disabled by default; when enabled each
+  /// result carries its own SpanSnapshot, and the deterministic span-id
+  /// scheme makes the merged trace identical at any job count.
+  obs::TraceOptions trace;
+  /// Set = a chaos trial. Each trial stacks its own FaultInjectionFilter
+  /// lowest, running plan.reseeded(<trial seed>), so the faults a trial
+  /// sees depend only on the plan and that trial. The filter's
+  /// faults_injected_total counters are merged into the result's
+  /// metrics, samples shrug off 4 consecutive denials instead of 1, and
+  /// `detected` means the engine suspended the process — nothing else
+  /// (an injected denial halts a sample just like a suspension would).
+  std::optional<vfs::FaultPlan> faults;
+};
 
-/// run_benign_workload() with an extra filter stacked below the engine
-/// for the trial (see run_ransomware_sample_filtered) and optional span
-/// tracing.
-BenignRunResult run_benign_workload_filtered(
-    const Environment& env, const sim::BenignWorkload& workload,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    vfs::Filter* below_engine, const obs::TraceOptions& trace = {});
+/// Runs one ransomware sample in a fresh MonitorSession over a pristine
+/// clone of `env.base_fs`. Deterministic in the spec's seed (and the
+/// fault plan). The filter stack is: engine, the trial's op recorder,
+/// `below_engine` (may be null), then the fault filter. `below_engine`
+/// is attached before the sample starts and detached before returning,
+/// so one caller-owned filter serves exactly one trial.
+RansomwareRunResult run_trial(const Environment& env, const sim::SampleSpec& spec,
+                              const core::ScoringConfig& config,
+                              const TrialOptions& options = {},
+                              vfs::Filter* below_engine = nullptr);
+
+/// Runs one benign workload in a fresh MonitorSession; deterministic in
+/// `seed`. Stack as above, without the op recorder; the fault stream is
+/// salted with the workload's name and `seed`, not with trial order.
+BenignRunResult run_trial(const Environment& env, const sim::BenignWorkload& workload,
+                          const core::ScoringConfig& config, std::uint64_t seed,
+                          const TrialOptions& options = {},
+                          vfs::Filter* below_engine = nullptr);
+
+/// One sample trial per spec on `options.jobs` workers, results in spec
+/// order. Throws std::invalid_argument when `config` or the fault plan
+/// does not validate, before any trial runs.
+std::vector<RansomwareRunResult> run_campaign(const Environment& env,
+                                              const std::vector<sim::SampleSpec>& specs,
+                                              const core::ScoringConfig& config,
+                                              const TrialOptions& options = {});
+
+/// The benign suite: one trial per workload, all with the same `seed`,
+/// results in workload order. Validates like the sample campaign.
+std::vector<BenignRunResult> run_campaign(const Environment& env,
+                                          const std::vector<sim::BenignWorkload>& workloads,
+                                          const core::ScoringConfig& config,
+                                          std::uint64_t seed,
+                                          const TrialOptions& options = {});
+
+/// Directories under `root` holding a file that process `pid` read,
+/// wrote or removed, or renamed from or to, in an op recorder's
+/// `entries` — Figure 4's shading for one sample.
+std::set<std::string> directories_touched(const std::vector<vfs::TraceEntry>& entries,
+                                          vfs::ProcessId pid, std::string_view root);
 
 // --- aggregation helpers (the numbers the paper reports) ---------------
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,7 +16,7 @@ std::size_t effective_jobs(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void parallel_for(std::size_t count, const RunnerOptions& options,
+void parallel_for(std::size_t count, const TrialOptions& options,
                   const std::function<void(std::size_t)>& body) {
   const std::size_t jobs = std::min(effective_jobs(options.jobs), count);
   if (count == 0) return;
@@ -64,42 +63,6 @@ void parallel_for(std::size_t count, const RunnerOptions& options,
   for (std::thread& t : pool) t.join();
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-namespace {
-
-void validate_or_throw(const core::ScoringConfig& config, const char* what) {
-  const Status valid = config.validate();
-  if (!valid.is_ok()) {
-    throw std::invalid_argument(std::string(what) + ": " + valid.to_string());
-  }
-}
-
-}  // namespace
-
-std::vector<RansomwareRunResult> run_campaign_parallel(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config, const RunnerOptions& options) {
-  validate_or_throw(config, "campaign config");
-  std::vector<RansomwareRunResult> results(specs.size());
-  parallel_for(specs.size(), options, [&](std::size_t i) {
-    results[i] =
-        run_ransomware_sample_filtered(env, specs[i], config, nullptr, options.trace);
-  });
-  return results;
-}
-
-std::vector<BenignRunResult> run_benign_suite_parallel(
-    const Environment& env, const std::vector<sim::BenignWorkload>& workloads,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    const RunnerOptions& options) {
-  validate_or_throw(config, "benign-suite config");
-  std::vector<BenignRunResult> results(workloads.size());
-  parallel_for(workloads.size(), options, [&](std::size_t i) {
-    results[i] = run_benign_workload_filtered(env, workloads[i], config, seed,
-                                              nullptr, options.trace);
-  });
-  return results;
 }
 
 }  // namespace cryptodrop::harness

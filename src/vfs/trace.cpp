@@ -227,6 +227,11 @@ ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries
         break;
       }
       case OpType::write: {
+        if (entry.length > ExactReplayer::kMaxFileBytes ||
+            entry.offset > ExactReplayer::kMaxFileBytes - entry.length) {
+          status = Status(Errc::invalid_argument, "replayed write past the file bound");
+          break;
+        }
         auto h = fs.open(pid, entry.path, kWrite | kCreate);
         if (!h) {
           status = h.status();
@@ -245,6 +250,10 @@ ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries
         break;
       }
       case OpType::truncate: {
+        if (entry.length > ExactReplayer::kMaxFileBytes) {
+          status = Status(Errc::invalid_argument, "replayed truncate past the file bound");
+          break;
+        }
         auto h = fs.open(pid, entry.path, kWrite);
         if (!h) {
           status = h.status();

@@ -103,7 +103,9 @@ struct ReplayResult {
 /// "replayer" process per original pid (so per-process analysis keyed on
 /// the replayed volume still separates actors). Metadata-only traces
 /// replay writes as zero-filled payloads of the recorded length — the
-/// best a content-free log can do, and exactly why it is not enough.
+/// best a content-free log can do, and exactly why it is not enough. A
+/// write or truncate past ExactReplayer::kMaxFileBytes counts as failed
+/// instead of allocating what its numbers ask for.
 ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries);
 
 /// Replays a *content-carrying, handle-carrying* trace exactly: handles

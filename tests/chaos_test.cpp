@@ -9,7 +9,6 @@
 #include "common/stats.hpp"
 #include "common/text.hpp"
 #include "core/engine.hpp"
-#include "harness/chaos.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "sim/benign/benign.hpp"
@@ -51,9 +50,10 @@ class ChaosTest : public ::testing::Test {
     return picked;
   }
 
-  static FaultCampaignOptions chaos_options() {
-    FaultCampaignOptions options;
-    options.plan = vfs::FaultPlan::uniform(kFaultRate, kFaultSeed);
+  static TrialOptions chaos_options(std::size_t jobs = 0) {
+    TrialOptions options;
+    options.jobs = jobs;
+    options.faults = vfs::FaultPlan::uniform(kFaultRate, kFaultSeed);
     return options;
   }
 };
@@ -70,8 +70,7 @@ std::uint64_t total_faults(const obs::MetricsSnapshot& snap) {
 
 TEST_F(ChaosTest, ZooKeepsFullTPRUnderFaults) {
   const auto specs = zoo_subset(10);
-  const auto results =
-      run_campaign_faulted(*env, specs, core::ScoringConfig{}, chaos_options());
+  const auto results = run_campaign(*env, specs, core::ScoringConfig{}, chaos_options());
   ASSERT_EQ(results.size(), specs.size());
   std::size_t detected = 0;
   for (const auto& r : results) {
@@ -90,9 +89,8 @@ TEST_F(ChaosTest, ZooKeepsFullTPRUnderFaults) {
 TEST_F(ChaosTest, FilesLostStaysComparableToFaultFree) {
   const auto specs = zoo_subset(10);
   const core::ScoringConfig config;
-  const auto faulted =
-      run_campaign_faulted(*env, specs, config, chaos_options());
-  const auto clean = run_campaign_parallel(*env, specs, config);
+  const auto faulted = run_campaign(*env, specs, config, chaos_options());
+  const auto clean = run_campaign(*env, specs, config);
   const double faulted_median = median(files_lost_values(faulted));
   const double clean_median = median(files_lost_values(clean));
   // Faults can nudge loss both ways (failed encryption writes lose
@@ -105,9 +103,8 @@ TEST_F(ChaosTest, FilesLostStaysComparableToFaultFree) {
 TEST_F(ChaosTest, BenignSuiteAddsNoNewFalsePositives) {
   const auto workloads = sim::all_benign_workloads();
   const core::ScoringConfig config;
-  const auto faulted =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options());
-  const auto clean = run_benign_suite_parallel(*env, workloads, config, 9);
+  const auto faulted = run_campaign(*env, workloads, config, 9, chaos_options());
+  const auto clean = run_campaign(*env, workloads, config, 9);
   ASSERT_EQ(faulted.size(), clean.size());
   for (std::size_t i = 0; i < faulted.size(); ++i) {
     EXPECT_EQ(faulted[i].app, clean[i].app);
@@ -121,14 +118,8 @@ TEST_F(ChaosTest, BenignSuiteAddsNoNewFalsePositives) {
 TEST_F(ChaosTest, CampaignIsBitIdenticalAcrossJobCounts) {
   const auto specs = zoo_subset(8);
   const core::ScoringConfig config;
-  RunnerOptions serial;
-  serial.jobs = 1;
-  RunnerOptions parallel;
-  parallel.jobs = 3;
-  const auto r1 =
-      run_campaign_faulted(*env, specs, config, chaos_options(), serial);
-  const auto r3 =
-      run_campaign_faulted(*env, specs, config, chaos_options(), parallel);
+  const auto r1 = run_campaign(*env, specs, config, chaos_options(1));
+  const auto r3 = run_campaign(*env, specs, config, chaos_options(3));
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].detected, r3[i].detected) << i;
@@ -153,14 +144,8 @@ TEST_F(ChaosTest, CampaignIsBitIdenticalAcrossJobCounts) {
 TEST_F(ChaosTest, BenignSuiteIsBitIdenticalAcrossJobCounts) {
   const auto workloads = sim::all_benign_workloads();
   const core::ScoringConfig config;
-  RunnerOptions serial;
-  serial.jobs = 1;
-  RunnerOptions parallel;
-  parallel.jobs = 3;
-  const auto r1 =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options(), serial);
-  const auto r3 =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options(), parallel);
+  const auto r1 = run_campaign(*env, workloads, config, 9, chaos_options(1));
+  const auto r3 = run_campaign(*env, workloads, config, 9, chaos_options(3));
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].detected, r3[i].detected) << r1[i].app;
@@ -240,14 +225,44 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
 }
 
 TEST_F(ChaosTest, InvalidPlanIsRejectedBeforeAnyTrialRuns) {
-  FaultCampaignOptions options;
-  options.plan.write.io_error = 7.0;
-  EXPECT_THROW(run_campaign_faulted(*env, zoo_subset(2), core::ScoringConfig{},
-                                    options),
+  TrialOptions options;
+  options.faults.emplace().write.io_error = 7.0;
+  EXPECT_THROW(run_campaign(*env, zoo_subset(2), core::ScoringConfig{}, options),
                std::invalid_argument);
-  EXPECT_THROW(run_benign_suite_faulted(*env, sim::all_benign_workloads(),
-                                        core::ScoringConfig{}, 9, options),
+  EXPECT_THROW(run_campaign(*env, sim::all_benign_workloads(), core::ScoringConfig{}, 9,
+                            options),
                std::invalid_argument);
+}
+
+TEST_F(ChaosTest, RateZeroPlanJudgesBySuspensionAloneAndMergesFaultCounters) {
+  // Without family scoring, eight workers are suspended one by one and
+  // the root is never scored. A fault-free trial counts the run the
+  // denials halted as detected; a chaos trial does not, even at rate 0
+  // (bench_chaos's baseline row).
+  sim::SampleSpec spec;
+  spec.family = "TeslaCrypt";
+  spec.behavior = sim::BehaviorClass::A;
+  spec.profile = sim::family_profile(spec.family, spec.behavior);
+  spec.profile.worker_processes = 8;
+  spec.seed = 5;
+  core::ScoringConfig no_family;
+  no_family.enable_family_scoring = false;
+  TrialOptions rate_zero;
+  rate_zero.faults = vfs::FaultPlan::uniform(0.0, kFaultSeed);
+
+  const RansomwareRunResult clean = run_trial(*env, spec, no_family);
+  const RansomwareRunResult chaos = run_trial(*env, spec, no_family, rate_zero);
+  ASSERT_FALSE(clean.sample.ran_to_completion);
+  EXPECT_TRUE(clean.detected);
+  EXPECT_FALSE(chaos.sample.ran_to_completion);
+  EXPECT_FALSE(chaos.report.suspended);
+  EXPECT_FALSE(chaos.detected);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(clean.metrics.counter("faults_injected_total.io_error"), nullptr);
+    const obs::CounterSnapshot* io = chaos.metrics.counter("faults_injected_total.io_error");
+    ASSERT_NE(io, nullptr);
+    EXPECT_EQ(io->value, 0u);
+  }
 }
 
 }  // namespace

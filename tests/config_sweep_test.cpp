@@ -114,13 +114,12 @@ class ConfigSweepTest : public ::testing::TestWithParam<ConfigCase> {
       if (param.primaries() >= 2) {
         auto* slot = &(*class_a)[key];
         trials.push_back([slot, param] {
-          *slot = harness::run_ransomware_sample(*env, class_a_spec(),
-                                                 param.to_config());
+          *slot = harness::run_trial(*env, class_a_spec(), param.to_config());
         });
       }
       auto* benign_slot = &(*benign)[key];
       trials.push_back([benign_slot, param] {
-        *benign_slot = harness::run_benign_workload(
+        *benign_slot = harness::run_trial(
             *env, sim::benign_workload("Microsoft Word"), param.to_config(), 5);
       });
       auto* pair = &(*monotone)[key];
@@ -128,15 +127,14 @@ class ConfigSweepTest : public ::testing::TestWithParam<ConfigCase> {
         core::ScoringConfig base = param.to_config();
         base.score_threshold = 1 << 30;
         base.union_threshold = 1 << 30;
-        pair->with = harness::run_ransomware_sample(*env, class_c_prefix_spec(), base);
+        pair->with = harness::run_trial(*env, class_c_prefix_spec(), base);
         core::ScoringConfig stripped = base;
         stripped.enable_deletion = false;
-        pair->without =
-            harness::run_ransomware_sample(*env, class_c_prefix_spec(), stripped);
+        pair->without = harness::run_trial(*env, class_c_prefix_spec(), stripped);
       });
     }
 
-    harness::RunnerOptions options;  // jobs = 0: one worker per core
+    harness::TrialOptions options;  // jobs = 0: one worker per core
     harness::parallel_for(trials.size(), options,
                           [&](std::size_t i) { trials[i](); });
   }

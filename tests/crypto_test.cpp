@@ -143,6 +143,14 @@ TEST(Aes128Ctr, CounterAdvances) {
   EXPECT_NE(a, b);
 }
 
+TEST(Aes128Ctr, EmptyKeyAndNonceReadAsZeros) {
+  // Empty views may carry a null data(); the cipher must treat them as
+  // all-zero key and nonce without handing the null pointer to memcpy.
+  Aes128Ctr empty{ByteView(), ByteView()};
+  Aes128Ctr zeros(Bytes(16, 0), Bytes(12, 0));
+  EXPECT_EQ(empty.transform(Bytes(40, 7)), zeros.transform(Bytes(40, 7)));
+}
+
 // --- SHA-256 ----------------------------------------------------------------
 
 TEST(Sha256, EmptyString) {

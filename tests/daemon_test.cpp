@@ -125,6 +125,10 @@ class StreamClient {
     return true;
   }
 
+  /// Stops reading without telling the server: its end sees no EOF, so
+  /// the next frame it pushes is written to a socket nobody reads.
+  bool shutdown_reads() { return ::shutdown(fd_, SHUT_RD) == 0; }
+
   /// Blocking read of the next full line. False on EOF or error.
   bool read_line(std::string* line) {
     for (;;) {
@@ -398,8 +402,7 @@ class DaemonTest : public ::testing::Test {
   static Recorded record_sample(const sim::SampleSpec& spec) {
     vfs::TraceRecorder recorder(/*capture_content=*/true);
     Recorded recorded;
-    recorded.result = harness::run_ransomware_sample_filtered(
-        *env, spec, core::ScoringConfig{}, &recorder);
+    recorded.result = harness::run_trial(*env, spec, core::ScoringConfig{}, {}, &recorder);
     recorded.entries = recorder.entries();
     return recorded;
   }
@@ -1354,6 +1357,46 @@ TEST_F(DaemonTest, IdleConnectionsAreEvictedButWatchersAreExempt) {
       control.request("{\"type\":\"shutdown\",\"drain\":true}").is_ok());
   while (watcher.read_line(&line)) {
   }
+  server.wait();
+}
+
+TEST_F(DaemonTest, WatcherThatStopsReadingDoesNotKillTheServer) {
+  const std::string path =
+      "/tmp/cryptodropd_deadwatch_" + std::to_string(::getpid()) + ".sock";
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ServerOptions options;
+  options.frame_interval_ms = 5;
+  SocketServer server(daemon, path, options);
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    StreamClient watcher(path);
+    ASSERT_TRUE(watcher.connected());
+    ASSERT_TRUE(watcher.send_line("{\"type\":\"watch\"}"));
+    std::string line;
+    ASSERT_TRUE(watcher.read_line(&line));  // The ack.
+    ASSERT_TRUE(watcher.read_line(&line));  // A pushed frame: the stream is live.
+    ASSERT_TRUE(watcher.shutdown_reads());
+    // Every frame tick now writes to the dead socket (the poll loop
+    // wakes at least every 100 ms). A write that raised SIGPIPE would
+    // kill this process; the server must drop the watcher instead.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    for (int waited = 0; obs::kMetricsEnabled && waited < 5000; waited += 10) {
+      const obs::MetricsSnapshot snap = daemon.metrics();
+      const obs::GaugeSnapshot* watching = snap.gauge("daemon_watch_clients");
+      if (watching != nullptr && watching->value == 0.0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (obs::kMetricsEnabled) {
+      const obs::MetricsSnapshot snap = daemon.metrics();
+      ASSERT_NE(snap.gauge("daemon_watch_clients"), nullptr);
+      EXPECT_EQ(snap.gauge("daemon_watch_clients")->value, 0.0);
+    }
+  }
+  DaemonClient control(path);
+  const Result<std::string> health = control.request("{\"type\":\"health\"}");
+  ASSERT_TRUE(health.is_ok()) << health.status().to_string();
+  EXPECT_EQ(health.value().rfind("{\"ok\":true", 0), 0u) << health.value();
+  ASSERT_TRUE(control.request("{\"type\":\"shutdown\",\"drain\":true}").is_ok());
   server.wait();
 }
 

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "core/engine.hpp"
-#include "harness/chaos.hpp"
 #include "harness/runner.hpp"
 #include "sim/benign/benign.hpp"
 #include "vfs/fault_filter.hpp"
@@ -35,7 +34,8 @@ class DenyWritesFilter : public vfs::Filter {
 };
 
 std::uint64_t counter_value(const AnalysisEngine& engine, std::string_view name) {
-  const obs::CounterSnapshot* c = engine.metrics_snapshot().counter(name);
+  const obs::MetricsSnapshot snap = engine.metrics_snapshot();
+  const obs::CounterSnapshot* c = snap.counter(name);
   return c == nullptr ? 0 : c->value;
 }
 
@@ -264,10 +264,8 @@ TEST(EntropyFloorSuiteTest, RaisedFloorAddsNoBenignFalsePositives) {
 
   core::ScoringConfig raised;
   raised.entropy.min_score_bytes = 64;
-  const auto defaults = harness::run_benign_suite_parallel(
-      env, workloads, core::ScoringConfig{}, 9);
-  const auto floored =
-      harness::run_benign_suite_parallel(env, workloads, raised, 9);
+  const auto defaults = harness::run_campaign(env, workloads, core::ScoringConfig{}, 9);
+  const auto floored = harness::run_campaign(env, workloads, raised, 9);
   ASSERT_EQ(defaults.size(), floored.size());
   for (std::size_t i = 0; i < floored.size(); ++i) {
     EXPECT_LE(floored[i].final_score, defaults[i].final_score)

@@ -2,6 +2,7 @@
 // runs, aggregation (Table I rows, Figure 3/5 data), and text tables.
 #include <gtest/gtest.h>
 
+#include "common/bytes.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
@@ -45,8 +46,8 @@ TEST_F(HarnessTest, EnvironmentMatchesSpec) {
 }
 
 TEST_F(HarnessTest, RunDetectsAndCountsLoss) {
-  const auto r = run_ransomware_sample(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 9),
-                                       core::ScoringConfig{});
+  const auto r =
+      run_trial(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 9), core::ScoringConfig{});
   EXPECT_TRUE(r.detected);
   EXPECT_GT(r.files_lost, 0u);
   EXPECT_LT(r.files_lost, env->corpus.file_count() / 4);
@@ -55,33 +56,54 @@ TEST_F(HarnessTest, RunDetectsAndCountsLoss) {
 }
 
 TEST_F(HarnessTest, RunLeavesBaseEnvironmentPristine) {
-  (void)run_ransomware_sample(*env, spec_for("Xorist", sim::BehaviorClass::A, 10),
-                              core::ScoringConfig{});
+  (void)run_trial(*env, spec_for("Xorist", sim::BehaviorClass::A, 10), core::ScoringConfig{});
   EXPECT_EQ(corpus::count_files_lost(env->base_fs, env->corpus), 0u);
   EXPECT_EQ(env->base_fs.file_count(), 400u);
 }
 
 TEST_F(HarnessTest, RunsAreIndependentAndDeterministic) {
   const auto spec = spec_for("CryptoWall", sim::BehaviorClass::C, 11);
-  const auto r1 = run_ransomware_sample(*env, spec, core::ScoringConfig{});
-  const auto r2 = run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r1 = run_trial(*env, spec, core::ScoringConfig{});
+  const auto r2 = run_trial(*env, spec, core::ScoringConfig{});
   EXPECT_EQ(r1.files_lost, r2.files_lost);
   EXPECT_EQ(r1.final_score, r2.final_score);
   EXPECT_EQ(r1.union_triggered, r2.union_triggered);
 }
 
 TEST_F(HarnessTest, DirectoriesTouchedAreUnderRoot) {
-  const auto r = run_ransomware_sample(*env, spec_for("GPcode", sim::BehaviorClass::A, 12),
-                                       core::ScoringConfig{});
+  const auto r =
+      run_trial(*env, spec_for("GPcode", sim::BehaviorClass::A, 12), core::ScoringConfig{});
   EXPECT_FALSE(r.directories_touched.empty());
   for (const std::string& dir : r.directories_touched) {
     EXPECT_TRUE(vfs::path_is_under(dir, env->corpus.root)) << dir;
   }
 }
 
+TEST(DirectoriesTouched, CountOnlyTheProcessAndBothEndsOfItsRenames) {
+  vfs::FileSystem fs;
+  vfs::TraceRecorder recorder(/*capture_content=*/false);
+  fs.attach_filter(&recorder);
+  const vfs::ProcessId sample = fs.register_process("sample");
+  const vfs::ProcessId other = fs.register_process("other");
+  ASSERT_TRUE(fs.write_file(sample, "docs/a/x.txt", to_bytes("1")).is_ok());
+  ASSERT_TRUE(fs.write_file(other, "docs/b/y.txt", to_bytes("2")).is_ok());
+  ASSERT_TRUE(fs.read_file(other, "docs/a/x.txt").is_ok());
+  ASSERT_TRUE(fs.mkdir(sample, "docs/c").is_ok());
+  ASSERT_TRUE(fs.rename(sample, "docs/a/x.txt", "docs/c/x.txt").is_ok());
+  ASSERT_TRUE(fs.write_file(sample, "outside/z.txt", to_bytes("3")).is_ok());
+  (void)fs.read_file(sample, "docs/d/missing.txt");  // failed ops do not count
+  fs.detach_filter(&recorder);
+
+  // docs/b is only the other process's; docs/c only a rename's destination.
+  EXPECT_EQ(directories_touched(recorder.entries(), sample, "docs"),
+            (std::set<std::string>{"docs/a", "docs/c"}));
+  EXPECT_EQ(directories_touched(recorder.entries(), other, "docs"),
+            (std::set<std::string>{"docs/a", "docs/b"}));
+}
+
 TEST_F(HarnessTest, ExtensionsAccessedAreCorpusExtensions) {
-  const auto r = run_ransomware_sample(
-      *env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 13), core::ScoringConfig{});
+  const auto r =
+      run_trial(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 13), core::ScoringConfig{});
   EXPECT_FALSE(r.extensions_accessed.empty());
   // Artifact extensions (.vvv, note .txt is a corpus ext though) must be
   // filtered to the corpus mix.
@@ -97,11 +119,13 @@ TEST_F(HarnessTest, CampaignRunsAllSpecsWithProgress) {
       spec_for("CTB-Locker", sim::BehaviorClass::B, 22),
   };
   std::size_t calls = 0;
-  const auto results = run_campaign(*env, specs, core::ScoringConfig{},
-                                    [&](std::size_t done, std::size_t total) {
-                                      ++calls;
-                                      EXPECT_LE(done, total);
-                                    });
+  TrialOptions options;
+  options.jobs = 1;
+  options.progress = [&](std::size_t done, std::size_t total) {
+    ++calls;
+    EXPECT_LE(done, total);
+  };
+  const auto results = run_campaign(*env, specs, core::ScoringConfig{}, options);
   EXPECT_EQ(results.size(), 3u);
   EXPECT_EQ(calls, 3u);
   for (const auto& r : results) EXPECT_TRUE(r.detected);

@@ -366,12 +366,12 @@ TEST(ObsDeterminism, CampaignMetricsIdenticalAtAnyJobCount) {
   const std::size_t stride = all.size() / 6;
   for (std::size_t i = 0; i < 6; ++i) specs.push_back(all[i * stride]);
 
-  harness::RunnerOptions serial;
+  harness::TrialOptions serial;
   serial.jobs = 1;
-  harness::RunnerOptions parallel;
+  harness::TrialOptions parallel;
   parallel.jobs = 8;
-  const auto r1 = harness::run_campaign_parallel(env, specs, {}, serial);
-  const auto r8 = harness::run_campaign_parallel(env, specs, {}, parallel);
+  const auto r1 = harness::run_campaign(env, specs, {}, serial);
+  const auto r8 = harness::run_campaign(env, specs, {}, parallel);
 
   const obs::MetricsSnapshot m1 = harness::merged_metrics(r1);
   const obs::MetricsSnapshot m8 = harness::merged_metrics(r8);

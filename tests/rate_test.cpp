@@ -8,7 +8,6 @@
 #include "core/engine.hpp"
 #include "harness/experiment.hpp"
 #include "vfs/filesystem.hpp"
-#include "vfs/recording_filter.hpp"
 
 namespace cryptodrop {
 namespace {
@@ -35,7 +34,6 @@ TEST(VirtualClock, EveryFilteredOpCosts) {
 
 TEST(VirtualClock, EventsCarryTimestamps) {
   vfs::FileSystem fs;
-  vfs::RecordingFilter recorder;
   struct TimestampFilter : vfs::Filter {
     std::vector<std::uint64_t> stamps;
     vfs::Verdict pre_operation(const vfs::OperationEvent& event) override {
@@ -186,8 +184,8 @@ TEST_F(RateIntegrationTest, RateIndicatorAcceleratesBulkEncryptors) {
   ctb.seed = 5;
   core::ScoringConfig with_rate;
   with_rate.enable_rate_indicator = true;
-  const auto fast = harness::run_ransomware_sample(*env, ctb, with_rate);
-  const auto stock = harness::run_ransomware_sample(*env, ctb, core::ScoringConfig{});
+  const auto fast = harness::run_trial(*env, ctb, with_rate);
+  const auto stock = harness::run_trial(*env, ctb, core::ScoringConfig{});
   EXPECT_TRUE(fast.detected);
   EXPECT_LE(fast.files_lost, stock.files_lost);
 }
@@ -197,7 +195,7 @@ TEST_F(RateIntegrationTest, PacedBenignAppsDoNotTripTheRateIndicator) {
   with_rate.enable_rate_indicator = true;
   std::size_t false_positives = 0;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
-    const auto r = harness::run_benign_workload(*env, workload, with_rate, 21);
+    const auto r = harness::run_trial(*env, workload, with_rate, 21);
     if (r.detected && !r.expected_false_positive) ++false_positives;
   }
   EXPECT_EQ(false_positives, 0u);
@@ -212,7 +210,7 @@ TEST_F(RateIntegrationTest, SlowedRansomwareEvadesRateButNotPrimaries) {
   spec.seed = 6;
   core::ScoringConfig with_rate;
   with_rate.enable_rate_indicator = true;
-  const auto r = harness::run_ransomware_sample(*env, spec, with_rate);
+  const auto r = harness::run_trial(*env, spec, with_rate);
   EXPECT_EQ(r.report.rate_events, 0u);  // the §V-F evasion works...
   EXPECT_TRUE(r.detected);              // ...and buys the attacker nothing.
 }

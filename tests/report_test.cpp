@@ -88,7 +88,7 @@ TEST_F(ReportTest, SampleJsonHasExpectedFields) {
   spec.behavior = sim::BehaviorClass::A;
   spec.profile = sim::family_profile("Xorist", sim::BehaviorClass::A);
   spec.seed = 3;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_trial(*env, spec, core::ScoringConfig{});
   const std::string json = harness::to_json(r).to_string();
   EXPECT_NE(json.find("\"family\":\"Xorist\""), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"A\""), std::string::npos);

@@ -47,7 +47,7 @@ TEST(RunnerPool, EffectiveJobsNeverZero) {
 TEST(RunnerPool, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 500;
   std::vector<std::atomic<int>> seen(kCount);
-  RunnerOptions options;
+  TrialOptions options;
   options.jobs = 8;
   std::atomic<std::size_t> last_total{0};
   std::atomic<std::size_t> progress_calls{0};
@@ -66,7 +66,7 @@ TEST(RunnerPool, CoversEveryIndexExactlyOnce) {
 
 TEST(RunnerPool, SingleJobRunsInOrderInline) {
   std::vector<std::size_t> order;
-  RunnerOptions options;
+  TrialOptions options;
   options.jobs = 1;
   parallel_for(5, options, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
@@ -74,7 +74,7 @@ TEST(RunnerPool, SingleJobRunsInOrderInline) {
 
 TEST(RunnerPool, FirstExceptionPropagatesAfterDraining) {
   std::atomic<int> executed{0};
-  RunnerOptions options;
+  TrialOptions options;
   options.jobs = 4;
   EXPECT_THROW(
       parallel_for(64, options,
@@ -88,7 +88,7 @@ TEST(RunnerPool, FirstExceptionPropagatesAfterDraining) {
 }
 
 TEST(RunnerPool, ZeroItemsIsANoOp) {
-  RunnerOptions options;
+  TrialOptions options;
   bool called = false;
   parallel_for(0, options, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
@@ -98,10 +98,11 @@ TEST_F(RunnerTest, ParallelCampaignBitIdenticalToSerial) {
   const auto specs = some_specs(6);
   const core::ScoringConfig config;
 
-  const auto serial = run_campaign(*env, specs, config);
-  RunnerOptions options;
+  TrialOptions options;
+  options.jobs = 1;
+  const auto serial = run_campaign(*env, specs, config, options);
   options.jobs = 4;
-  const auto parallel = run_campaign_parallel(*env, specs, config, options);
+  const auto parallel = run_campaign(*env, specs, config, options);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -136,13 +137,11 @@ TEST_F(RunnerTest, BenignSuiteParallelMatchesSerial) {
   std::vector<sim::BenignWorkload> workloads = sim::figure6_workloads();
   const core::ScoringConfig config;
 
-  std::vector<BenignRunResult> serial;
-  for (const sim::BenignWorkload& w : workloads) {
-    serial.push_back(run_benign_workload(*env, w, config, 9));
-  }
-  RunnerOptions options;
+  TrialOptions options;
+  options.jobs = 1;
+  const auto serial = run_campaign(*env, workloads, config, 9, options);
   options.jobs = 4;
-  const auto parallel = run_benign_suite_parallel(*env, workloads, config, 9, options);
+  const auto parallel = run_campaign(*env, workloads, config, 9, options);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -160,10 +159,10 @@ TEST_F(RunnerTest, SharedDigestCacheDoesNotChangeResults) {
   core::ScoringConfig isolated;
   isolated.share_digest_cache = false;
 
-  RunnerOptions options;
+  TrialOptions options;
   options.jobs = 2;
-  const auto with = run_campaign_parallel(*env, specs, shared, options);
-  const auto without = run_campaign_parallel(*env, specs, isolated, options);
+  const auto with = run_campaign(*env, specs, shared, options);
+  const auto without = run_campaign(*env, specs, isolated, options);
   ASSERT_EQ(with.size(), without.size());
   for (std::size_t i = 0; i < with.size(); ++i) {
     EXPECT_EQ(with[i].files_lost, without[i].files_lost);
@@ -176,15 +175,13 @@ TEST_F(RunnerTest, SharedDigestCacheDoesNotChangeResults) {
 TEST_F(RunnerTest, InvalidConfigFailsBeforeAnyTrialRuns) {
   core::ScoringConfig bad;
   bad.score_threshold = 100;  // default union_threshold 170 > 100
-  RunnerOptions options;
+  TrialOptions options;
   std::atomic<std::size_t> progressed{0};
   options.progress = [&](std::size_t, std::size_t) { ++progressed; };
 
-  EXPECT_THROW(run_campaign_parallel(*env, some_specs(3), bad, options),
+  EXPECT_THROW(run_campaign(*env, some_specs(3), bad, options), std::invalid_argument);
+  EXPECT_THROW(run_campaign(*env, sim::figure6_workloads(), bad, 9, options),
                std::invalid_argument);
-  EXPECT_THROW(
-      run_benign_suite_parallel(*env, sim::figure6_workloads(), bad, 9, options),
-      std::invalid_argument);
   EXPECT_EQ(progressed.load(), 0u);
 }
 

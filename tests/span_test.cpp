@@ -9,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "harness/chaos.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "obs/span.hpp"
@@ -173,18 +172,16 @@ class SpanHarnessTest : public ::testing::Test {
 Environment* SpanHarnessTest::env = nullptr;
 
 TEST_F(SpanHarnessTest, SpanIdentityIsBitIdenticalAtAnyJobCount) {
-  harness::RunnerOptions serial;
+  harness::TrialOptions serial;
   serial.jobs = 1;
   serial.trace.enabled = true;
   serial.trace.sample_every = 4;
-  harness::RunnerOptions pooled = serial;
+  harness::TrialOptions pooled = serial;
   pooled.jobs = 8;
 
   const auto specs = some_specs(8);
-  const auto a =
-      harness::run_campaign_parallel(*env, specs, core::ScoringConfig{}, serial);
-  const auto b =
-      harness::run_campaign_parallel(*env, specs, core::ScoringConfig{}, pooled);
+  const auto a = harness::run_campaign(*env, specs, core::ScoringConfig{}, serial);
+  const auto b = harness::run_campaign(*env, specs, core::ScoringConfig{}, pooled);
   ASSERT_EQ(a.size(), b.size());
   std::size_t total_spans = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -203,11 +200,10 @@ TEST_F(SpanHarnessTest, SpanIdentityIsBitIdenticalAtAnyJobCount) {
 
 TEST_F(SpanHarnessTest, TracedRunNestsEngineStagesUnderFilterSpans) {
   if (!kMetricsEnabled) GTEST_SKIP() << "tracing compiled out";
-  obs::TraceOptions trace;
-  trace.enabled = true;
+  harness::TrialOptions traced;
+  traced.trace.enabled = true;
   const auto specs = some_specs(2);
-  const auto r = harness::run_ransomware_sample_filtered(
-      *env, specs[0], core::ScoringConfig{}, nullptr, trace);
+  const auto r = harness::run_trial(*env, specs[0], core::ScoringConfig{}, traced);
   ASSERT_FALSE(r.trace.spans.empty());
 
   std::size_t engine_stages = 0;
@@ -237,12 +233,10 @@ TEST_F(SpanHarnessTest, TracedRunNestsEngineStagesUnderFilterSpans) {
 
 TEST_F(SpanHarnessTest, FaultFilterAppearsAsNamedFilterSpan) {
   if (!kMetricsEnabled) GTEST_SKIP() << "tracing compiled out";
-  harness::FaultCampaignOptions faults;
-  faults.plan = vfs::FaultPlan::uniform(0.05, 99);
-  obs::TraceOptions trace;
-  trace.enabled = true;
-  const auto r = harness::run_ransomware_sample_faulted(
-      *env, some_specs(2)[1], core::ScoringConfig{}, faults, trace);
+  harness::TrialOptions options;
+  options.faults = vfs::FaultPlan::uniform(0.05, 99);
+  options.trace.enabled = true;
+  const auto r = harness::run_trial(*env, some_specs(2)[1], core::ScoringConfig{}, options);
   bool saw_fault_filter = false;
   for (const SpanRecord& record : r.trace.spans) {
     for (const SpanArg& arg : record.args) {
@@ -255,11 +249,10 @@ TEST_F(SpanHarnessTest, FaultFilterAppearsAsNamedFilterSpan) {
 }
 
 TEST_F(SpanHarnessTest, TraceJsonRoundTripsAndValidates) {
-  harness::RunnerOptions options;
+  harness::TrialOptions options;
   options.jobs = 2;
   options.trace.enabled = true;
-  const auto results = harness::run_campaign_parallel(
-      *env, some_specs(3), core::ScoringConfig{}, options);
+  const auto results = harness::run_campaign(*env, some_specs(3), core::ScoringConfig{}, options);
   const std::string text = harness::trace_report(results).to_string();
 
   const Result<std::vector<TraceEvent>> parsed = parse_trace_events(text);

@@ -170,6 +170,27 @@ TEST(TraceReplay, PreservesVirtualPacing) {
   EXPECT_GE(replayed.now_micros(), 5'000'000u);
 }
 
+TEST(TraceReplay, MetadataEntriesPastTheFileBoundFailInsteadOfAllocating) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  auto entry = [](OpType op, std::uint64_t offset, std::uint64_t length) {
+    TraceEntry e;
+    e.op = op;
+    e.pid = 1;
+    e.path = "a.bin";
+    e.offset = offset;
+    e.length = length;
+    return e;
+  };
+  FileSystem fs;
+  const ReplayResult result = replay_trace(fs, {entry(OpType::write, 0, 4),
+                                                entry(OpType::write, 0, kHuge),
+                                                entry(OpType::write, kHuge, 4),
+                                                entry(OpType::truncate, 0, kHuge)});
+  EXPECT_EQ(result.applied, 1u);
+  EXPECT_EQ(result.failed, 3u);
+  EXPECT_EQ(fs.read_unfiltered("a.bin")->size(), 4u);
+}
+
 // --- the §V-F demonstration ---------------------------------------------
 
 class TraceAnalysisTest : public ::testing::Test {

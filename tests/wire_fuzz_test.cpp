@@ -5,7 +5,7 @@
 // insertions, truncation, splices and deep nesting. The seed and the
 // iteration counts are fixed, so every run replays the same inputs and
 // a failure reproduces from the test name alone. CI runs this binary
-// under ASan (`ctest -L 'chaos|fuzz'`) and, with the full suite, UBSan.
+// with the full suite under ASan and UBSan; `ctest -L fuzz` runs it alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>

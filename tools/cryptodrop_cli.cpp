@@ -58,7 +58,6 @@
 #include "obs/export_prom.hpp"
 #include "entropy/backend.hpp"
 #include "entropy/entropy.hpp"
-#include "harness/chaos.hpp"
 #include "harness/daemon_runner.hpp"
 #include "obs/trace_export.hpp"
 #include "harness/report.hpp"
@@ -170,26 +169,21 @@ core::ScoringConfig scoring_config(const Args& args) {
   return config;
 }
 
-/// Fault-injection options from --fault-rate / --fault-seed, or nullopt
-/// when neither flag was given (fault-free run). The plan is validated
-/// by the chaos runners / filter constructor before anything runs.
-std::optional<harness::FaultCampaignOptions> fault_options(const Args& args) {
-  if (!args.options.contains("fault-rate") && !args.options.contains("fault-seed")) {
-    return std::nullopt;
+/// Trial options from the CLI flags: --jobs; span tracing, on exactly
+/// when --trace-out named a destination file (--trace-sample N keeps
+/// 1-in-N operations); and a fault plan when --fault-rate or
+/// --fault-seed was given (the trial runners validate it before anything
+/// runs).
+harness::TrialOptions trial_options(const Args& args) {
+  harness::TrialOptions options;
+  options.jobs = args.get_size("jobs", 0);
+  options.trace.enabled = !args.get("trace-out", "").empty();
+  options.trace.sample_every = std::max<std::size_t>(args.get_size("trace-sample", 1), 1);
+  if (args.flag("fault-rate") || args.flag("fault-seed")) {
+    options.faults = vfs::FaultPlan::uniform(args.get_double("fault-rate", 0.0),
+                                             args.get_size("fault-seed", 2016));
   }
-  harness::FaultCampaignOptions options;
-  options.plan = vfs::FaultPlan::uniform(args.get_double("fault-rate", 0.0),
-                                         args.get_size("fault-seed", 2016));
   return options;
-}
-
-/// Span-tracing options from --trace-out / --trace-sample. Tracing is
-/// on exactly when a destination file was named.
-obs::TraceOptions trace_options(const Args& args) {
-  obs::TraceOptions trace;
-  trace.enabled = !args.get("trace-out", "").empty();
-  trace.sample_every = std::max<std::size_t>(args.get_size("trace-sample", 1), 1);
-  return trace;
 }
 
 void write_json_file(const std::string& path, const Json& payload,
@@ -247,13 +241,7 @@ int cmd_sample(const Args& args) {
   spec.profile.behavior = cls;
   spec.seed = args.get_size("seed", 7);
 
-  const auto faults = fault_options(args);
-  const obs::TraceOptions trace = trace_options(args);
-  const auto r = faults.has_value()
-                     ? harness::run_ransomware_sample_faulted(
-                           env, spec, scoring_config(args), *faults, trace)
-                     : harness::run_ransomware_sample_filtered(
-                           env, spec, scoring_config(args), nullptr, trace);
+  const auto r = harness::run_trial(env, spec, scoring_config(args), trial_options(args));
   maybe_write_metrics(args, harness::metrics_report(
                                 std::vector<harness::RansomwareRunResult>{r}));
   maybe_write_trace(args, std::vector<harness::RansomwareRunResult>{r});
@@ -278,15 +266,8 @@ int cmd_sample(const Args& args) {
 int cmd_benign(const Args& args) {
   const std::string app = args.get("app", "Microsoft Word");
   const harness::Environment env = build_env(args, 1500);
-  const auto faults = fault_options(args);
-  const obs::TraceOptions trace = trace_options(args);
-  const auto r = faults.has_value()
-                     ? harness::run_benign_workload_faulted(
-                           env, sim::benign_workload(app), scoring_config(args),
-                           args.get_size("seed", 9), *faults, trace)
-                     : harness::run_benign_workload_filtered(
-                           env, sim::benign_workload(app), scoring_config(args),
-                           args.get_size("seed", 9), nullptr, trace);
+  const auto r = harness::run_trial(env, sim::benign_workload(app), scoring_config(args),
+                                    args.get_size("seed", 9), trial_options(args));
   maybe_write_metrics(args, harness::metrics_report(
                                 std::vector<harness::BenignRunResult>{r}));
   maybe_write_trace(args, std::vector<harness::BenignRunResult>{r});
@@ -316,9 +297,7 @@ int cmd_campaign(const Args& args) {
     }
     specs = std::move(picked);
   }
-  harness::RunnerOptions options;
-  options.jobs = args.get_size("jobs", 0);
-  options.trace = trace_options(args);
+  harness::TrialOptions options = trial_options(args);
   options.progress = [](std::size_t done, std::size_t total) {
     if (done % 50 == 0 || done == total) {
       std::fprintf(stderr, "  %zu/%zu\n", done, total);
@@ -326,12 +305,7 @@ int cmd_campaign(const Args& args) {
   };
   std::fprintf(stderr, "running %zu samples on %zu workers...\n", specs.size(),
                harness::effective_jobs(options.jobs));
-  const auto faults = fault_options(args);
-  const auto results =
-      faults.has_value()
-          ? harness::run_campaign_faulted(env, specs, scoring_config(args),
-                                          *faults, options)
-          : harness::run_campaign_parallel(env, specs, scoring_config(args), options);
+  const auto results = harness::run_campaign(env, specs, scoring_config(args), options);
   maybe_write_metrics(args, harness::metrics_report(results));
   maybe_write_trace(args, results);
   if (args.flag("json")) {
