@@ -149,6 +149,7 @@ Status Daemon::spawn(const std::string& tenant_id, vfs::ProcessId recorded_pid,
   }
   metrics_.ingested().add();
   state->stats.ingested.fetch_add(1, std::memory_order_relaxed);
+  ops_ingested_.fetch_add(1, std::memory_order_relaxed);
   refresh_queue_gauges();
   update_overload_state();
   return Status::ok();
@@ -161,7 +162,7 @@ Result<SubmitResult> Daemon::submit(const std::string& tenant_id,
     return Status(Errc::not_found, "tenant `" + tenant_id + "` is not attached");
   }
   obs::ScopedSpan span(tracer_.get(), obs::span_name::kDaemonIngest, 0,
-                       span_serial_.fetch_add(1, std::memory_order_relaxed));
+                       next_span_serial());
   if (span.active()) {
     span.arg("tenant", state->id);
     span.arg("ops", static_cast<double>(entries.size()));
@@ -186,6 +187,9 @@ Result<SubmitResult> Daemon::submit(const std::string& tenant_id,
       count_shed(*pushed.evicted->tenant, pushed.reason);
       ++result.shed;
     }
+  }
+  if (result.accepted > 0) {
+    ops_ingested_.fetch_add(result.accepted, std::memory_order_relaxed);
   }
   // A clean batch (everything accepted, nothing evicted) ends the
   // tenant's shed burst: journal the transition once, not per op.
@@ -321,6 +325,11 @@ void Daemon::worker_loop(std::size_t index) {
                 static_cast<double>(telemetry.heartbeat()), "");
 }
 
+std::uint64_t Daemon::next_span_serial() {
+  if (tracer_ == nullptr) return 0;
+  return span_serial_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Daemon::execute_item(QueueItem& item) {
   TenantState& tenant = *item.tenant;
   if (tenant.detached.load(std::memory_order_acquire)) {
@@ -328,7 +337,7 @@ void Daemon::execute_item(QueueItem& item) {
     return;
   }
   obs::ScopedSpan span(tracer_.get(), obs::span_name::kDaemonExecute, 0,
-                       span_serial_.fetch_add(1, std::memory_order_relaxed));
+                       next_span_serial());
   if (span.active()) {
     span.arg("tenant", tenant.id);
     span.arg("op", item.is_spawn ? std::string_view("spawn")
@@ -362,6 +371,7 @@ void Daemon::execute_item(QueueItem& item) {
 
 void Daemon::count_shed(TenantState& tenant, ShedReason reason) {
   metrics_.shed(reason).add();
+  ops_shed_.fetch_add(1, std::memory_order_relaxed);
   tenant.stats.shed[static_cast<std::size_t>(reason)].fetch_add(
       1, std::memory_order_relaxed);
   // Journal the transition into a shed burst once; the per-op counters
@@ -431,11 +441,8 @@ HealthReport Daemon::health() {
   report.queue_occupancy =
       capacity == 0 ? 0.0
                     : static_cast<double>(depth) / static_cast<double>(capacity);
-  const std::uint64_t ingested = metrics_.ingested().value();
-  std::uint64_t shed = 0;
-  for (ShedReason reason : all_shed_reasons()) {
-    shed += metrics_.shed(reason).value();
-  }
+  const std::uint64_t ingested = ops_ingested_.load(std::memory_order_relaxed);
+  const std::uint64_t shed = ops_shed_.load(std::memory_order_relaxed);
   report.shed_ratio =
       ingested + shed == 0
           ? 0.0

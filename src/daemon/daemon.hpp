@@ -263,6 +263,9 @@ class Daemon {
   void count_shed(TenantState& tenant, ShedReason reason);
   /// Refreshes the queue-depth / high-water gauges.
   void refresh_queue_gauges() const;
+  /// Op index for the next daemon span. Without a tracer it is 0 and the
+  /// shared serial counter is left untouched.
+  std::uint64_t next_span_serial();
   /// Appends one journal event and charges the journal counters. Must
   /// be called with no daemon lock held (every call site is lock-free).
   void journal_event(EventKind kind, std::string tenant,
@@ -282,7 +285,11 @@ class Daemon {
   std::vector<std::unique_ptr<BoundedOpQueue>> queues_;
   std::vector<std::thread> workers_;
   std::atomic<std::size_t> next_worker_{0};
-  std::atomic<std::uint64_t> span_serial_{0};
+  std::atomic<std::uint64_t> span_serial_{0};  ///< Bumped only when tracing.
+  /// Lifetime op totals behind health()'s shed ratio. Plain atomics, not
+  /// metrics, so the verdict also holds with -DCRYPTODROP_NO_METRICS.
+  std::atomic<std::uint64_t> ops_ingested_{0};
+  std::atomic<std::uint64_t> ops_shed_{0};
   mutable std::atomic<std::size_t> queue_high_water_{0};
   std::atomic<bool> accepting_{true};
   std::atomic<bool> shutdown_done_{false};

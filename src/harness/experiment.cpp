@@ -17,6 +17,7 @@ Environment make_environment(const corpus::CorpusSpec& spec, std::uint64_t seed)
   env.spec = spec;
   Rng rng(seed);
   env.corpus = corpus::build_corpus(env.base_fs, spec, rng);
+  env.base_fs = env.base_fs.clone();  // folded: every trial clone is O(1)
   return env;
 }
 

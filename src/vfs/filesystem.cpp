@@ -7,12 +7,31 @@
 
 namespace cryptodrop::vfs {
 
-FileSystem::FileSystem() { dirs_.insert(std::string()); }
+FileSystem::FileSystem() : base_(root_layer()) {}
+
+const std::shared_ptr<const FileSystem::Layer>& FileSystem::root_layer() {
+  static const std::shared_ptr<const Layer> root =
+      std::make_shared<const Layer>(Layer{{}, {std::string()}});
+  return root;
+}
 
 FileSystem FileSystem::clone() const {
   FileSystem out;
-  out.files_ = files_;  // FileNode copies share the content shared_ptrs
-  out.dirs_ = dirs_;
+  if (delta_files_.empty() && delta_dirs_.empty()) {
+    out.base_ = base_;
+  } else {
+    // Fold the delta into one new base. FileNode copies share the content
+    // buffers, so a later write on either side takes the copying path.
+    auto folded = std::make_shared<Layer>();
+    for_each_file(std::string(), [&](const std::string& path, const FileNode& node) {
+      folded->files.emplace_hint(folded->files.end(), path, node);
+      return true;
+    });
+    folded->dirs = base_->dirs;
+    folded->dirs.insert(delta_dirs_.begin(), delta_dirs_.end());
+    out.base_ = std::move(folded);
+  }
+  out.file_count_ = file_count_;
   out.next_file_id_ = next_file_id_;
   return out;
 }
@@ -116,28 +135,86 @@ Result<std::string> FileSystem::check_path(std::string_view raw) const {
   return *std::move(norm);
 }
 
-FileSystem::FileNode* FileSystem::find_file(const std::string& path) {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
+const FileSystem::FileNode* FileSystem::find_file(const std::string& path) const {
+  if (!delta_files_.empty()) {
+    auto it = delta_files_.find(path);
+    if (it != delta_files_.end()) {
+      return it->second.data != nullptr ? &it->second : nullptr;
+    }
+  }
+  auto it = base_->files.find(path);
+  return it == base_->files.end() ? nullptr : &it->second;
 }
 
-const FileSystem::FileNode* FileSystem::find_file(const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
+FileSystem::FileNode* FileSystem::own_file(const std::string& path) {
+  auto it = delta_files_.lower_bound(path);
+  if (it != delta_files_.end() && it->first == path) {
+    return it->second.data != nullptr ? &it->second : nullptr;
+  }
+  auto base_it = base_->files.find(path);
+  if (base_it == base_->files.end()) return nullptr;
+  return &delta_files_.emplace_hint(it, path, base_it->second)->second;
+}
+
+FileSystem::FileNode& FileSystem::own_file(const std::string& path, const FileNode& live) {
+  // `live` is either this very delta entry or the base node to copy up.
+  return delta_files_.try_emplace(path, live).first->second;
+}
+
+void FileSystem::create_file(const std::string& path, FileNode node) {
+  delta_files_.insert_or_assign(path, std::move(node));  // over any tombstone
+  ++file_count_;
+}
+
+void FileSystem::erase_file(const std::string& path) {
+  if (base_->files.contains(path)) {
+    delta_files_.insert_or_assign(path, FileNode{});
+  } else {
+    delta_files_.erase(path);
+  }
+  --file_count_;
+}
+
+template <typename Fn>
+void FileSystem::for_each_file(const std::string& from, Fn&& fn) const {
+  auto b = base_->files.lower_bound(from);
+  auto d = delta_files_.lower_bound(from);
+  const auto b_end = base_->files.end();
+  const auto d_end = delta_files_.end();
+  while (b != b_end || d != d_end) {
+    if (d == d_end || (b != b_end && b->first < d->first)) {
+      if (!fn(b->first, b->second)) return;
+      ++b;
+      continue;
+    }
+    // A delta entry overrides (or, as a tombstone, hides) its base file.
+    if (b != b_end && b->first == d->first) ++b;
+    if (d->second.data != nullptr && !fn(d->first, d->second)) return;
+    ++d;
+  }
+}
+
+bool FileSystem::has_dir(const std::string& path) const {
+  return base_->dirs.contains(path) ||
+         (!delta_dirs_.empty() && delta_dirs_.contains(path));
+}
+
+void FileSystem::add_dir(const std::string& path) {
+  if (!base_->dirs.contains(path)) delta_dirs_.insert(path);
 }
 
 Status FileSystem::ensure_parents(const std::string& path) {
   const std::string parent = path_parent(path);
-  if (dirs_.contains(parent)) return Status::ok();
-  if (files_.contains(parent)) {
+  if (has_dir(parent)) return Status::ok();
+  if (find_file(parent) != nullptr) {
     return Status(Errc::not_a_directory, parent);
   }
   // Create missing ancestors top-down.
   std::string acc;
   for (const auto comp : path_components(parent)) {
     acc = path_join(acc, std::string(comp));
-    if (files_.contains(acc)) return Status(Errc::not_a_directory, acc);
-    dirs_.insert(acc);
+    if (find_file(acc) != nullptr) return Status(Errc::not_a_directory, acc);
+    add_dir(acc);
   }
   return Status::ok();
 }
@@ -156,10 +233,10 @@ Status FileSystem::mkdir(ProcessId pid, std::string_view raw_path) {
   event.pid = pid;
   event.path = path;
   return run_filtered(event, [&]() -> Status {
-    if (files_.contains(path)) return Status(Errc::already_exists, path);
-    if (dirs_.contains(path)) return Status(Errc::already_exists, path);
+    if (find_file(path) != nullptr) return Status(Errc::already_exists, path);
+    if (has_dir(path)) return Status(Errc::already_exists, path);
     if (Status s = ensure_parents(path_join(path, "x")); !s.is_ok()) return s;
-    dirs_.insert(path);
+    add_dir(path);
     return Status::ok();
   });
 }
@@ -173,11 +250,13 @@ Result<Handle> FileSystem::open(ProcessId pid, std::string_view raw_path, unsign
   if ((mode & (kRead | kWrite)) == 0) {
     return Status(Errc::invalid_argument, "open without read or write");
   }
-  if (path.empty() || dirs_.contains(path)) {
+  if (path.empty() || has_dir(path)) {
     return Status(Errc::is_a_directory, path);
   }
 
-  FileNode* node = find_file(path);
+  // Resolved once: pre callbacks only read the volume, so `node` still
+  // names the path's live file inside the filtered section.
+  const FileNode* node = find_file(path);
   if (node == nullptr && (mode & kCreate) == 0) {
     return Status(Errc::not_found, path);
   }
@@ -194,19 +273,19 @@ Result<Handle> FileSystem::open(ProcessId pid, std::string_view raw_path, unsign
 
   Handle handle;
   Status outcome = run_filtered(event, [&]() -> Status {
-    FileNode* n = find_file(path);
-    if (n == nullptr) {
+    OpenHandle oh;
+    if (node == nullptr) {
       if (Status s = ensure_parents(path); !s.is_ok()) return s;
       FileNode fresh;
       fresh.data = std::make_shared<Bytes>();
       fresh.id = next_file_id_++;
-      n = &files_.emplace(path, std::move(fresh)).first->second;
-    } else if ((mode & kTruncate) != 0) {
-      n->data = std::make_shared<Bytes>();
+      oh.file_id = fresh.id;
+      create_file(path, std::move(fresh));
+    } else {
+      oh.file_id = node->id;
+      if ((mode & kTruncate) != 0) own_file(path, *node).data = std::make_shared<Bytes>();
     }
-    OpenHandle oh;
     oh.path = path;
-    oh.file_id = n->id;
     oh.pid = pid;
     oh.mode = mode;
     handle.id = next_handle_id_++;
@@ -230,7 +309,7 @@ Result<Bytes> FileSystem::read(ProcessId pid, Handle h, std::size_t n) {
   if ((oh.mode & kRead) == 0) {
     return Status(Errc::access_denied, "handle not open for read");
   }
-  FileNode* node = find_file(oh.path);
+  const FileNode* node = find_file(oh.path);
   if (node == nullptr) return Status(Errc::not_found, oh.path);
 
   // Compute the bytes up front so the post event can carry them; the
@@ -282,7 +361,7 @@ Status FileSystem::write(ProcessId pid, Handle h, ByteView data) {
   event.data = data;
 
   return run_filtered(event, [&]() -> Status {
-    FileNode* node = find_file(oh.path);
+    FileNode* node = own_file(oh.path);
     if (node == nullptr) return Status(Errc::not_found, oh.path);
     // Apply event.data, not the caller's buffer: a pre-callback filter
     // may have shrunk the event to a prefix (short write), and only the
@@ -290,8 +369,10 @@ Status FileSystem::write(ProcessId pid, Handle h, ByteView data) {
     const ByteView put = event.data;
     const std::uint64_t end = oh.pos + put.size();
     // Copy-on-write with an exclusive-ownership fast path: when this
-    // node is the only holder of the buffer (no snapshot clones, no
-    // engine baselines referencing it), mutate in place — this is what
+    // node is the only holder of the buffer (no base layer, no snapshot
+    // clones, no engine baselines referencing it), mutate in place. A
+    // base file's buffer is also held by the base node own_file() copied
+    // up from, so it never qualifies. The fast path is what
     // keeps streamed multi-gigabyte appends O(n) instead of O(n^2).
     // Buffers are always *created* as mutable Bytes, so the const_cast
     // below never touches a genuinely const object.
@@ -337,7 +418,7 @@ Status FileSystem::truncate(ProcessId pid, Handle h, std::uint64_t new_size) {
   event.length = new_size;
 
   return run_filtered(event, [&]() -> Status {
-    FileNode* node = find_file(oh.path);
+    FileNode* node = own_file(oh.path);
     if (node == nullptr) return Status(Errc::not_found, oh.path);
     auto fresh = std::make_shared<Bytes>(*node->data);
     fresh->resize(static_cast<std::size_t>(new_size), 0);
@@ -388,7 +469,7 @@ Status FileSystem::remove(ProcessId pid, std::string_view raw_path) {
 
   const FileNode* node = find_file(path);
   if (node == nullptr) {
-    if (dirs_.contains(path)) return Status(Errc::is_a_directory, path);
+    if (has_dir(path)) return Status(Errc::is_a_directory, path);
     return Status(Errc::not_found, path);
   }
   if (node->read_only) return Status(Errc::read_only, path);
@@ -400,7 +481,7 @@ Status FileSystem::remove(ProcessId pid, std::string_view raw_path) {
   event.file_id = node->id;
 
   return run_filtered(event, [&]() -> Status {
-    files_.erase(path);
+    erase_file(path);
     ++counters_.removes;
     return Status::ok();
   });
@@ -416,12 +497,12 @@ Status FileSystem::rename(ProcessId pid, std::string_view raw_from, std::string_
 
   const FileNode* src = find_file(from);
   if (src == nullptr) {
-    if (dirs_.contains(from)) {
+    if (has_dir(from)) {
       return Status(Errc::invalid_argument, "directory rename unsupported");
     }
     return Status(Errc::not_found, from);
   }
-  if (to.empty() || dirs_.contains(to)) return Status(Errc::is_a_directory, to);
+  if (to.empty() || has_dir(to)) return Status(Errc::is_a_directory, to);
   const FileNode* dst = find_file(to);
   if (dst != nullptr && dst->read_only) return Status(Errc::read_only, to);
 
@@ -436,10 +517,13 @@ Status FileSystem::rename(ProcessId pid, std::string_view raw_from, std::string_
   return run_filtered(event, [&]() -> Status {
     if (from == to) return Status::ok();
     if (Status s = ensure_parents(to); !s.is_ok()) return s;
-    auto it = files_.find(from);
-    FileNode node = std::move(it->second);
-    files_.erase(it);
-    files_.insert_or_assign(to, std::move(node));
+    FileNode node = *src;  // erase_file() may free the entry `src` points at
+    erase_file(from);
+    if (dst != nullptr) {
+      delta_files_.insert_or_assign(to, std::move(node));
+    } else {
+      create_file(to, std::move(node));
+    }
     ++counters_.renames;
     return Status::ok();
   });
@@ -478,12 +562,12 @@ Status FileSystem::write_file(ProcessId pid, std::string_view raw_path, ByteView
 bool FileSystem::exists(std::string_view raw_path) const {
   auto norm = normalize_path(raw_path);
   if (!norm) return false;
-  return files_.contains(*norm) || dirs_.contains(*norm);
+  return find_file(*norm) != nullptr || has_dir(*norm);
 }
 
 bool FileSystem::is_directory(std::string_view raw_path) const {
   auto norm = normalize_path(raw_path);
-  return norm && dirs_.contains(*norm);
+  return norm && has_dir(*norm);
 }
 
 Result<FileInfo> FileSystem::stat(std::string_view raw_path) const {
@@ -508,7 +592,7 @@ std::shared_ptr<const Bytes> FileSystem::read_unfiltered(std::string_view raw_pa
 std::vector<DirEntry> FileSystem::list(std::string_view raw_path) const {
   std::vector<DirEntry> out;
   auto norm = normalize_path(raw_path);
-  if (!norm || !dirs_.contains(*norm)) return out;
+  if (!norm || !has_dir(*norm)) return out;
   const std::string prefix = norm->empty() ? std::string() : *norm + "/";
 
   auto in_subtree = [&](const std::string& p) {
@@ -518,17 +602,21 @@ std::vector<DirEntry> FileSystem::list(std::string_view raw_path) const {
     return p.find('/', prefix.size()) == std::string::npos;
   };
 
-  for (auto it = dirs_.upper_bound(prefix); it != dirs_.end() && in_subtree(*it); ++it) {
-    if (!is_immediate(*it)) continue;
-    out.push_back(DirEntry{.name = it->substr(prefix.size()), .is_directory = true, .size = 0});
+  for (const auto* dirs : {&base_->dirs, &delta_dirs_}) {
+    for (auto it = dirs->upper_bound(prefix); it != dirs->end() && in_subtree(*it); ++it) {
+      if (!is_immediate(*it)) continue;
+      out.push_back(DirEntry{.name = it->substr(prefix.size()), .is_directory = true, .size = 0});
+    }
   }
-  for (auto it = files_.lower_bound(prefix);
-       it != files_.end() && in_subtree(it->first); ++it) {
-    if (!is_immediate(it->first)) continue;
-    out.push_back(DirEntry{.name = it->first.substr(prefix.size()),
-                           .is_directory = false,
-                           .size = it->second.data->size()});
-  }
+  for_each_file(prefix, [&](const std::string& path, const FileNode& node) {
+    if (!in_subtree(path)) return false;
+    if (is_immediate(path)) {
+      out.push_back(DirEntry{.name = path.substr(prefix.size()),
+                             .is_directory = false,
+                             .size = node.data->size()});
+    }
+    return true;
+  });
   std::sort(out.begin(), out.end(),
             [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
   return out;
@@ -538,10 +626,12 @@ std::vector<std::string> FileSystem::list_files_recursive(std::string_view raw_p
   std::vector<std::string> out;
   auto norm = normalize_path(raw_path);
   if (!norm) return out;
-  for (const auto& [path, node] : files_) {
-    (void)node;
+  // Every path under *norm starts with it, and such paths sort together.
+  for_each_file(*norm, [&](const std::string& path, const FileNode&) {
+    if (path.compare(0, norm->size(), *norm) != 0) return false;
     if (path_is_under(path, *norm)) out.push_back(path);
-  }
+    return true;
+  });
   return out;
 }
 
@@ -549,9 +639,17 @@ std::vector<std::string> FileSystem::list_dirs_recursive(std::string_view raw_pa
   std::vector<std::string> out;
   auto norm = normalize_path(raw_path);
   if (!norm) return out;
-  for (const auto& dir : dirs_) {
-    if (dir != *norm && path_is_under(dir, *norm)) out.push_back(dir);
-  }
+  auto collect = [&](const std::set<std::string, std::less<>>& dirs) {
+    for (auto it = dirs.lower_bound(*norm);
+         it != dirs.end() && it->compare(0, norm->size(), *norm) == 0; ++it) {
+      if (*it != *norm && path_is_under(*it, *norm)) out.push_back(*it);
+    }
+  };
+  collect(base_->dirs);
+  const auto from_base = static_cast<std::ptrdiff_t>(out.size());
+  collect(delta_dirs_);
+  // The layers hold disjoint directory sets; merge them into path order.
+  std::inplace_merge(out.begin(), out.begin() + from_base, out.end());
   return out;
 }
 
@@ -563,18 +661,17 @@ Status FileSystem::put_file_raw(std::string_view raw_path, Bytes data, bool read
   auto checked = check_path(raw_path);
   if (!checked) return checked.status();
   const std::string path = std::move(checked).value();
-  if (path.empty() || dirs_.contains(path)) return Status(Errc::is_a_directory, path);
+  if (path.empty() || has_dir(path)) return Status(Errc::is_a_directory, path);
   if (Status s = ensure_parents(path); !s.is_ok()) return s;
   FileNode node;
   node.data = std::make_shared<Bytes>(std::move(data));
   node.read_only = read_only;
-  auto it = files_.find(path);
-  if (it != files_.end()) {
-    node.id = it->second.id;
-    it->second = std::move(node);
+  if (const FileNode* live = find_file(path)) {
+    node.id = live->id;
+    delta_files_.insert_or_assign(path, std::move(node));
   } else {
     node.id = next_file_id_++;
-    files_.emplace(path, std::move(node));
+    create_file(path, std::move(node));
   }
   return Status::ok();
 }
@@ -583,16 +680,16 @@ Status FileSystem::mkdir_raw(std::string_view raw_path) {
   auto checked = check_path(raw_path);
   if (!checked) return checked.status();
   const std::string path = std::move(checked).value();
-  if (files_.contains(path)) return Status(Errc::not_a_directory, path);
+  if (find_file(path) != nullptr) return Status(Errc::not_a_directory, path);
   if (Status s = ensure_parents(path_join(path, "x")); !s.is_ok()) return s;
-  dirs_.insert(path);
+  add_dir(path);
   return Status::ok();
 }
 
 Status FileSystem::set_read_only(std::string_view raw_path, bool read_only) {
   auto checked = check_path(raw_path);
   if (!checked) return checked.status();
-  FileNode* node = find_file(checked.value());
+  FileNode* node = own_file(checked.value());
   if (node == nullptr) return Status(Errc::not_found, checked.value());
   node->read_only = read_only;
   return Status::ok();

@@ -9,9 +9,14 @@
 //  * each file has a stable FileId that survives rename/move — the paper
 //    stresses that "the state of the file must be carefully tracked each
 //    time a file is moved" (Class B/C ransomware);
-//  * file content is copy-on-write (shared_ptr<const Bytes>), so cloning
-//    a populated volume for the next experiment run is O(#files) pointer
-//    copies, replacing the paper's VM snapshot revert;
+//  * the namespace has two layers: an immutable base (file map + directory
+//    set) shared by every volume cloned from it, and a private delta of
+//    file overrides, tombstones and added directories. Cloning a volume
+//    whose delta is empty shares the base in O(1), replacing the paper's
+//    VM snapshot revert; a volume tears down in O(files it touched). A
+//    built base is never mutated, so concurrent clones need no lock;
+//  * file content is copy-on-write (shared_ptr<const Bytes>): a volume's
+//    first write to a file its base holds copies the buffer;
 //  * read-only files refuse writes and deletion (the GPcode sample in
 //    §V-C was "uniquely unable to work around" read-only test files).
 #pragma once
@@ -77,10 +82,15 @@ class FileSystem {
   FileSystem(FileSystem&&) = default;
   FileSystem& operator=(FileSystem&&) = default;
 
-  /// Copy of the volume: directory tree and file metadata are duplicated,
-  /// file *content* is shared copy-on-write. Filters, processes and open
-  /// handles are NOT copied — the clone is a pristine volume, like a
-  /// reverted VM snapshot.
+  /// Copy of the volume's namespace and content, like a reverted VM
+  /// snapshot. When this volume has no private changes (an empty delta)
+  /// the clone shares its base layer: O(1). Otherwise the clone gets one
+  /// new base that folds this volume's delta into its base: O(files),
+  /// with content buffers shared, not copied. Neither case modifies this
+  /// volume, so concurrent clone() calls on one volume are safe. Keep a
+  /// volume that is cloned many times in folded form (`v = v.clone()`
+  /// once it is built). Filters, processes, open handles, the clock and
+  /// the counters are NOT copied: the clone starts pristine.
   [[nodiscard]] FileSystem clone() const;
 
   // --- processes -----------------------------------------------------
@@ -171,9 +181,11 @@ class FileSystem {
   [[nodiscard]] std::vector<std::string> list_dirs_recursive(std::string_view raw_path) const;
 
   /// Number of files on the volume.
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
+  [[nodiscard]] std::size_t file_count() const { return file_count_; }
   /// Number of directories, counting the root.
-  [[nodiscard]] std::size_t dir_count() const { return dirs_.size(); }
+  [[nodiscard]] std::size_t dir_count() const {
+    return base_->dirs.size() + delta_dirs_.size();
+  }
   /// Handles currently open across all processes.
   [[nodiscard]] std::size_t open_handle_count() const { return handles_.size(); }
   /// Per-op-type totals since construction.
@@ -206,9 +218,15 @@ class FileSystem {
 
  private:
   struct FileNode {
-    std::shared_ptr<const Bytes> data;
+    std::shared_ptr<const Bytes> data;  // null only in a delta tombstone
     FileId id = kNoFile;
     bool read_only = false;
+  };
+
+  /// The shared, immutable base of one or more volumes.
+  struct Layer {
+    std::map<std::string, FileNode> files;
+    std::set<std::string, std::less<>> dirs;  // always contains "" (root)
   };
 
   struct OpenHandle {
@@ -226,13 +244,36 @@ class FileSystem {
   template <typename ApplyFn>
   Status run_filtered(OperationEvent& event, ApplyFn&& apply);
 
+  /// The root-only base every new volume starts from.
+  static const std::shared_ptr<const Layer>& root_layer();
+
   Result<std::string> check_path(std::string_view raw) const;
-  FileNode* find_file(const std::string& path);
+  /// The live file at `path` (delta first, then base); null when absent.
   const FileNode* find_file(const std::string& path) const;
+  /// The delta's own node for the live file at `path`, copied up from the
+  /// base on first use; null when absent. The only way to mutate a node.
+  FileNode* own_file(const std::string& path);
+  /// own_file() for a node already resolved by find_file().
+  FileNode& own_file(const std::string& path, const FileNode& live);
+  /// Adds `node` at `path`, which must not hold a live file.
+  void create_file(const std::string& path, FileNode node);
+  /// Removes the live file at `path`.
+  void erase_file(const std::string& path);
+  /// Visits live files with path >= `from` in path order until `fn`
+  /// returns false.
+  template <typename Fn>
+  void for_each_file(const std::string& from, Fn&& fn) const;
+  [[nodiscard]] bool has_dir(const std::string& path) const;
+  void add_dir(const std::string& path);
   Status ensure_parents(const std::string& path);
 
-  std::map<std::string, FileNode> files_;
-  std::set<std::string, std::less<>> dirs_;  // always contains "" (root)
+  std::shared_ptr<const Layer> base_;  // never mutated once built
+  // The private delta over base_: a null-data node is a tombstone hiding
+  // a base file; delta_dirs_ holds only directories absent from the base
+  // (directories are never removed or renamed).
+  std::map<std::string, FileNode> delta_files_;
+  std::set<std::string, std::less<>> delta_dirs_;
+  std::size_t file_count_ = 0;  // live files across both layers
   struct ProcessInfo {
     std::string name;
     ProcessId parent = 0;

@@ -101,6 +101,8 @@ class Filter {
 
   /// Called before the operation is applied. Returning deny fails the
   /// operation with Errc::access_denied and suppresses post callbacks.
+  /// Pre callbacks may read the volume but must not change it:
+  /// FileSystem::open resolves its path once, before they run.
   virtual Verdict pre_operation(const OperationEvent& event) {
     (void)event;
     return Verdict::allow;
@@ -111,6 +113,7 @@ class Filter {
   /// with any status (not just access_denied; a fault filter returns
   /// io_error) and may mutate the event within its documented contract
   /// (shrinking a write's `data` to a prefix models a short write).
+  /// Like pre_operation(), it must not change the volume.
   /// Default: bridges to pre_operation(), so ordinary filters override
   /// only the const form.
   virtual Status pre_operation_mut(OperationEvent& event) {

@@ -544,8 +544,12 @@ TEST_F(DaemonTest, AttachDetachUnderConcurrentSubmitLoad) {
     }
   }
   // spawns (6) + ops sent; every one either executed or counted shed.
-  EXPECT_EQ(sent.load() + kTenants, executed + shed);
-  EXPECT_LE(executed, ingested);
+  // The counters read zero when -DCRYPTODROP_NO_METRICS compiles
+  // recording out.
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(sent.load() + kTenants, executed + shed);
+    EXPECT_LE(executed, ingested);
+  }
 }
 
 // --- drain / shutdown --------------------------------------------------
@@ -617,10 +621,12 @@ TEST_F(DaemonTest, BatchedDrainMatchesSingleItemDrainBitForBit) {
     daemon.shutdown(/*drain_first=*/true);
   }
   EXPECT_EQ(lines[0], lines[1]) << "drain_batch changed the scoreboard";
-  EXPECT_GT(batches[0], 0u);
-  EXPECT_GT(batches[1], 0u);
-  EXPECT_LT(batches[1], batches[0])
-      << "drain_batch=64 should amortise the queue lock across items";
+  if (obs::kMetricsEnabled) {  // the batch counter records nothing otherwise
+    EXPECT_GT(batches[0], 0u);
+    EXPECT_GT(batches[1], 0u);
+    EXPECT_LT(batches[1], batches[0])
+        << "drain_batch=64 should amortise the queue lock across items";
+  }
 }
 
 TEST_F(DaemonTest, NonDrainedShutdownCountsDiscardedWork) {
@@ -759,8 +765,10 @@ TEST_F(DaemonTest, ControlApiEnvelopeAndErrors) {
     }
     if (counter.name == "daemon_control_errors_total") errors = counter.value;
   }
-  EXPECT_EQ(requests, 5u);
-  EXPECT_EQ(errors, 3u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(requests, 5u);
+    EXPECT_EQ(errors, 3u);
+  }
   daemon.shutdown(/*drain_first=*/true);
 }
 
@@ -858,7 +866,9 @@ TEST_F(DaemonTest, JournalRecordsLifecycleAndSuspensionVerdicts) {
       journaled = counter.value;
     }
   }
-  EXPECT_EQ(journaled, daemon.telemetry().journal().emitted());
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(journaled, daemon.telemetry().journal().emitted());
+  }
 }
 
 TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
@@ -1167,7 +1177,9 @@ TEST_F(DaemonTest, OversizedRequestGetsEnvelopeThenEof) {
   EXPECT_FALSE(parsed->bool_or("ok", true));
   EXPECT_EQ(parsed->string_or("code", ""), "invalid_argument");
   EXPECT_FALSE(client.read_line(&reply)) << "connection left open: " << reply;
-  EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), 1u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), 1u);
+  }
   // The daemon keeps serving other connections.
   DaemonClient other(path);
   const Result<std::string> pong = other.request("{\"type\":\"ping\"}");
@@ -1318,8 +1330,10 @@ TEST_F(DaemonTest, WatchConservationEmittedEqualsDeliveredPlusShed) {
     }
   }
   EXPECT_GT(delivered, 0u);
-  EXPECT_EQ(delivered + shed, daemon.telemetry().journal().emitted())
-      << "delivered=" << delivered << " shed=" << shed;
+  if (obs::kMetricsEnabled) {  // the shed counter reads zero otherwise
+    EXPECT_EQ(delivered + shed, daemon.telemetry().journal().emitted())
+        << "delivered=" << delivered << " shed=" << shed;
+  }
 }
 
 TEST_F(DaemonTest, IdleConnectionsAreEvictedButWatchersAreExempt) {
@@ -1348,7 +1362,7 @@ TEST_F(DaemonTest, IdleConnectionsAreEvictedButWatchersAreExempt) {
       evicted = counter.value;
     }
   }
-  EXPECT_EQ(evicted, 1u);
+  if (obs::kMetricsEnabled) EXPECT_EQ(evicted, 1u);
   // The watcher outlived the deadline without sending anything further:
   // watch streams are write-mostly and exempt from the idle reaper.
   EXPECT_TRUE(watcher.read_line(&line)) << "watcher was evicted";

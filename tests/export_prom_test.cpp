@@ -23,24 +23,20 @@
 namespace cryptodrop::obs {
 namespace {
 
+// The exporter tests build their MetricsSnapshot by hand rather than
+// recording into a registry: -DCRYPTODROP_NO_METRICS compiles recording
+// out, and the exporter must stay fully tested in that build too.
+
 TEST(ExportPromTest, GoldenTextForAllThreeKinds) {
-  MetricsRegistry registry;
-  Counter& plain = registry.counter("test_ops_total", "Ops processed.", "ops");
-  Counter& shed_q =
-      registry.counter("test_shed_total.queue_full", "Sheds by reason.", "ops");
-  Counter& shed_b =
-      registry.counter("test_shed_total.benign", "Sheds by reason.", "ops");
-  Gauge& depth = registry.gauge("test_depth", "Current depth.", "items");
-  Histogram& latency =
-      registry.histogram("test_latency_us", "Latency.", "us", {1.0, 2.0, 4.0});
-  plain.add(3);
-  shed_q.add(2);
-  shed_b.add(1);
-  depth.set(2.5);
-  latency.record(1);    // le="1"
-  latency.record(3);    // le="4"
-  latency.record(100);  // overflow -> +Inf only
-  const std::string text = to_prometheus(registry.snapshot());
+  MetricsSnapshot snapshot;
+  snapshot.counters = {{"test_ops_total", "ops", "Ops processed.", 3},
+                       {"test_shed_total.queue_full", "ops", "Sheds by reason.", 2},
+                       {"test_shed_total.benign", "ops", "Sheds by reason.", 1}};
+  snapshot.gauges = {{"test_depth", "items", "Current depth.", 2.5}};
+  // Samples 1 (le="1"), 3 (le="4") and 100 (overflow -> +Inf only).
+  snapshot.histograms = {{"test_latency_us", "us", "Latency.", {1.0, 2.0, 4.0},
+                          {1, 0, 1, 1}, 3, 104.0}};
+  const std::string text = to_prometheus(snapshot);
   EXPECT_EQ(text,
             "# HELP test_ops_total Ops processed.\n"
             "# TYPE test_ops_total counter\n"
@@ -63,9 +59,11 @@ TEST(ExportPromTest, GoldenTextForAllThreeKinds) {
 }
 
 TEST(ExportPromTest, KnownPlaceholderFamiliesGetTheirTokenAsLabelKey) {
-  daemon::DaemonMetrics metrics;
-  metrics.shed(daemon::ShedReason::queue_full).add(7);
-  const std::string text = to_prometheus(metrics.snapshot());
+  MetricsSnapshot snapshot = daemon::DaemonMetrics().snapshot();
+  for (CounterSnapshot& counter : snapshot.counters) {
+    if (counter.name == "daemon_ops_shed_total.queue_full") counter.value = 7;
+  }
+  const std::string text = to_prometheus(snapshot);
   EXPECT_NE(text.find("daemon_ops_shed_total{shed_reason=\"queue_full\"} 7"),
             std::string::npos)
       << text;
@@ -79,9 +77,9 @@ TEST(ExportPromTest, HelpAndLabelEscaping) {
   EXPECT_EQ(prom_family_name("stage_latency_us.entropy"), "stage_latency_us");
   EXPECT_EQ(prom_family_name("weird-name.suffix"), "weird_name");
 
-  MetricsRegistry registry;
-  registry.counter("esc_total.a\"b\\c", "multi\nline \\help", "x").add(1);
-  const std::string text = to_prometheus(registry.snapshot());
+  MetricsSnapshot snapshot;
+  snapshot.counters = {{"esc_total.a\"b\\c", "x", "multi\nline \\help", 1}};
+  const std::string text = to_prometheus(snapshot);
   EXPECT_NE(text.find("# HELP esc_total multi\\nline \\\\help\n"),
             std::string::npos)
       << text;

@@ -3,10 +3,15 @@
 // hold under randomized operation sequences, and scoring is monotone.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "harness/experiment.hpp"
+#include "volume_dump.hpp"
 
 namespace cryptodrop {
 namespace {
@@ -101,6 +106,67 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweepTest,
 
 // --- randomized VFS workload invariants ------------------------------------
 
+/// One fuzz step over a volume and its open handles (indexed, so the
+/// step replays on any volume that ran the same history).
+using FuzzStep = std::function<Status(vfs::FileSystem&, vfs::ProcessId,
+                                      std::vector<vfs::Handle>&)>;
+
+/// What a fresh, never-cloned volume holds after running `history`.
+std::string replayed_dump(const std::vector<FuzzStep>& history) {
+  vfs::FileSystem fresh;
+  const vfs::ProcessId pid = fresh.register_process("fuzzer");
+  std::vector<vfs::Handle> handles;
+  for (const FuzzStep& step : history) (void)step(fresh, pid, handles);
+  return vfs::volume_dump(fresh);
+}
+
+/// A path-level step for a snapshot volume, drawn from its own listing.
+FuzzStep snapshot_step(const vfs::FileSystem& snapshot, Rng& rng) {
+  const std::vector<std::string> files = snapshot.list_files_recursive("");
+  const std::string fresh_path =
+      "d" + std::to_string(rng.uniform(0, 7)) + "/s" + std::to_string(rng.uniform(0, 30));
+  const std::uint64_t action = files.empty() ? 0 : rng.uniform(0, 5);
+  const std::string path = files.empty() ? fresh_path : rng.pick(files);
+  switch (action) {
+    case 0: {
+      const Bytes data = rng.bytes(rng.uniform(0, 600));
+      return [=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+        return v.write_file(p, fresh_path, data);
+      };
+    }
+    case 1:
+      return [=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+        return v.remove(p, path);
+      };
+    case 2:
+      return [=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+        return v.rename(p, path, fresh_path);
+      };
+    case 3: {
+      const std::uint64_t size = rng.uniform(0, 300);
+      return [=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+        auto h = v.open(p, path, vfs::kWrite);
+        if (!h) return h.status();
+        const Status truncated = v.truncate(p, h.value(), size);
+        (void)v.close(p, h.value());
+        return truncated;
+      };
+    }
+    case 4: {
+      const bool read_only = rng.chance(0.5);
+      return [=](vfs::FileSystem& v, vfs::ProcessId, std::vector<vfs::Handle>&) {
+        return v.set_read_only(path, read_only);
+      };
+    }
+    default: {
+      const Bytes data = rng.bytes(rng.uniform(0, 600));
+      return [=](vfs::FileSystem& v, vfs::ProcessId, std::vector<vfs::Handle>&) {
+        return v.put_file_raw(path, data);
+      };
+    }
+  }
+}
+
 class VfsFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VfsFuzzTest, RandomOperationSequencePreservesInvariants) {
@@ -109,6 +175,25 @@ TEST_P(VfsFuzzTest, RandomOperationSequencePreservesInvariants) {
   const vfs::ProcessId pid = fs.register_process("fuzzer");
   std::vector<std::string> known_paths;
   std::vector<vfs::Handle> open_handles;
+  std::vector<FuzzStep> history;
+  const auto run = [&](FuzzStep step) {
+    const Status outcome = step(fs, pid, open_handles);
+    history.push_back(std::move(step));
+    return outcome;
+  };
+  const auto handle_index = [&] {
+    return static_cast<std::size_t>(rng.uniform(0, open_handles.size() - 1));
+  };
+
+  // The latest mid-stream clone. It diverges through its own steps
+  // (drawn from a separate Rng, so the original's sequence is the same
+  // with or without it) and must always equal a fresh volume that ran
+  // its history: the original's up to the clone, then its own.
+  std::optional<vfs::FileSystem> snapshot;
+  std::vector<FuzzStep> snapshot_history;
+  std::vector<vfs::Handle> snapshot_handles;
+  vfs::ProcessId snapshot_pid = 0;
+  Rng snapshot_rng(GetParam() + 1000);
 
   for (int step = 0; step < 400; ++step) {
     const std::uint64_t action = rng.uniform(0, 9);
@@ -116,64 +201,108 @@ TEST_P(VfsFuzzTest, RandomOperationSequencePreservesInvariants) {
       case 0: {  // create file
         const std::string path =
             "d" + std::to_string(rng.uniform(0, 5)) + "/f" + std::to_string(rng.uniform(0, 30));
-        if (fs.write_file(pid, path, rng.bytes(rng.uniform(0, 2000))).is_ok()) {
+        const Bytes data = rng.bytes(rng.uniform(0, 2000));
+        if (run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+              return v.write_file(p, path, data);
+            }).is_ok()) {
           known_paths.push_back(path);
         }
         break;
       }
       case 1: {  // open
         if (known_paths.empty()) break;
-        auto h = fs.open(pid, rng.pick(known_paths),
-                         rng.chance(0.5) ? vfs::kRead : (vfs::kRead | vfs::kWrite));
-        if (h) open_handles.push_back(h.value());
+        const std::string path = rng.pick(known_paths);
+        const unsigned mode = rng.chance(0.5) ? vfs::kRead : (vfs::kRead | vfs::kWrite);
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>& hs) {
+          auto h = v.open(p, path, mode);
+          if (h) hs.push_back(h.value());
+          return h.status();
+        });
         break;
       }
       case 2: {  // read through a handle
         if (open_handles.empty()) break;
-        (void)fs.read(pid, rng.pick(open_handles), rng.uniform(0, 512));
+        const std::size_t i = handle_index();
+        const std::uint64_t n = rng.uniform(0, 512);
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>& hs) {
+          return v.read(p, hs[i], n).status();
+        });
         break;
       }
       case 3: {  // write through a handle
         if (open_handles.empty()) break;
-        (void)fs.write(pid, rng.pick(open_handles), rng.bytes(rng.uniform(0, 512)));
+        const std::size_t i = handle_index();
+        const Bytes data = rng.bytes(rng.uniform(0, 512));
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>& hs) {
+          return v.write(p, hs[i], data);
+        });
         break;
       }
       case 4: {  // close
         if (open_handles.empty()) break;
-        const std::size_t i = static_cast<std::size_t>(
-            rng.uniform(0, open_handles.size() - 1));
-        (void)fs.close(pid, open_handles[i]);
-        open_handles.erase(open_handles.begin() + static_cast<std::ptrdiff_t>(i));
+        const std::size_t i = handle_index();
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>& hs) {
+          const Status closed = v.close(p, hs[i]);
+          hs.erase(hs.begin() + static_cast<std::ptrdiff_t>(i));
+          return closed;
+        });
         break;
       }
       case 5: {  // remove
         if (known_paths.empty()) break;
-        (void)fs.remove(pid, rng.pick(known_paths));
+        const std::string path = rng.pick(known_paths);
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+          return v.remove(p, path);
+        });
         break;
       }
       case 6: {  // rename
         if (known_paths.empty()) break;
         const std::string to =
             "d" + std::to_string(rng.uniform(0, 5)) + "/r" + std::to_string(rng.uniform(0, 30));
-        if (fs.rename(pid, rng.pick(known_paths), to).is_ok()) {
+        const std::string from = rng.pick(known_paths);
+        if (run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+              return v.rename(p, from, to);
+            }).is_ok()) {
           known_paths.push_back(to);
         }
         break;
       }
-      case 7:  // mkdir
-        (void)fs.mkdir(pid, "d" + std::to_string(rng.uniform(0, 8)));
+      case 7: {  // mkdir
+        const std::string path = "d" + std::to_string(rng.uniform(0, 8));
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>&) {
+          return v.mkdir(p, path);
+        });
         break;
+      }
       case 8: {  // seek
         if (open_handles.empty()) break;
-        (void)fs.seek(pid, rng.pick(open_handles), rng.uniform(0, 4096));
+        const std::size_t i = handle_index();
+        const std::uint64_t pos = rng.uniform(0, 4096);
+        (void)run([=](vfs::FileSystem& v, vfs::ProcessId p, std::vector<vfs::Handle>& hs) {
+          return v.seek(p, hs[i], pos);
+        });
         break;
       }
       case 9: {  // clone mid-stream: must not disturb the original
-        vfs::FileSystem snapshot = fs.clone();
-        EXPECT_EQ(snapshot.file_count(), fs.file_count());
-        EXPECT_EQ(snapshot.open_handle_count(), 0u);
+        if (snapshot) {
+          EXPECT_EQ(vfs::volume_dump(*snapshot), replayed_dump(snapshot_history))
+              << "diverged snapshot, step " << step;
+        }
+        snapshot.emplace(fs.clone());
+        EXPECT_EQ(snapshot->file_count(), fs.file_count());
+        EXPECT_EQ(snapshot->open_handle_count(), 0u);
+        EXPECT_EQ(vfs::volume_dump(*snapshot), vfs::volume_dump(fs)) << "step " << step;
+        snapshot_history = history;
+        snapshot_handles.clear();
+        snapshot_pid = snapshot->register_process("fuzzer");
         break;
       }
+    }
+    if (snapshot && snapshot_rng.chance(0.5)) {
+      FuzzStep own = snapshot_step(*snapshot, snapshot_rng);
+      (void)own(*snapshot, snapshot_pid, snapshot_handles);
+      snapshot_history.push_back(std::move(own));
     }
 
     // Invariants after every step:
@@ -185,6 +314,11 @@ TEST_P(VfsFuzzTest, RandomOperationSequencePreservesInvariants) {
       ASSERT_NE(data, nullptr) << path;
       EXPECT_EQ(data->size(), info.value().size) << path;
     }
+  }
+  // Both volumes still match their own op histories.
+  EXPECT_EQ(vfs::volume_dump(fs), replayed_dump(history));
+  if (snapshot) {
+    EXPECT_EQ(vfs::volume_dump(*snapshot), replayed_dump(snapshot_history));
   }
   // Drain remaining handles; every close of a live handle succeeds once.
   for (const vfs::Handle& h : open_handles) (void)fs.close(pid, h);

@@ -2,7 +2,12 @@
 // copy-on-write semantics, stable file ids, read-only enforcement.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "vfs/filesystem.hpp"
+#include "volume_dump.hpp"
 
 namespace cryptodrop::vfs {
 namespace {
@@ -367,6 +372,195 @@ TEST_F(VfsTest, PutFileRawOverwriteKeepsId) {
   const FileId id = fs.stat("f").value().id;
   ASSERT_TRUE(fs.put_file_raw("f", to_bytes("b")).is_ok());
   EXPECT_EQ(fs.stat("f").value().id, id);
+}
+
+// --- two-layer volumes: shared base + private delta ----------------------
+
+/// A folded base volume: three files in two directories, no delta.
+FileSystem layered_base() {
+  FileSystem built;
+  EXPECT_TRUE(built.put_file_raw("docs/a.txt", to_bytes("alpha")).is_ok());
+  EXPECT_TRUE(built.put_file_raw("docs/b.txt", to_bytes("bravo")).is_ok());
+  EXPECT_TRUE(built.put_file_raw("pics/c.jpg", to_bytes("charlie")).is_ok());
+  return built.clone();
+}
+
+TEST(LayeredVolumeTest, CloneOfACloneStaysIndependent) {
+  const FileSystem base = layered_base();
+  const std::string before = volume_dump(base);
+  FileSystem first = base.clone();
+  FileSystem second = first.clone();  // first has no delta yet: shares the base
+  EXPECT_EQ(volume_dump(first), before);
+  EXPECT_EQ(volume_dump(second), before);
+  EXPECT_EQ(first.read_unfiltered("docs/a.txt").get(),
+            base.read_unfiltered("docs/a.txt").get());
+
+  const ProcessId p1 = first.register_process("p1");
+  ASSERT_TRUE(first.write_file(p1, "docs/a.txt", to_bytes("changed")).is_ok());
+  ASSERT_TRUE(first.write_file(p1, "new/d.txt", to_bytes("delta")).is_ok());
+  FileSystem third = first.clone();  // folds first's delta into a new base
+  EXPECT_EQ(volume_dump(third), volume_dump(first));
+  EXPECT_EQ(third.file_count(), 4u);
+  EXPECT_EQ(third.dir_count(), 4u);
+
+  const ProcessId p2 = second.register_process("p2");
+  ASSERT_TRUE(second.remove(p2, "pics/c.jpg").is_ok());
+  const ProcessId p3 = third.register_process("p3");
+  ASSERT_TRUE(third.write_file(p3, "docs/b.txt", to_bytes("third")).is_ok());
+
+  EXPECT_EQ(volume_dump(base), before);
+  EXPECT_EQ(to_string(ByteView(*first.read_unfiltered("docs/a.txt"))), "changed");
+  EXPECT_EQ(to_string(ByteView(*first.read_unfiltered("docs/b.txt"))), "bravo");
+  EXPECT_TRUE(first.exists("pics/c.jpg"));
+  EXPECT_EQ(to_string(ByteView(*second.read_unfiltered("docs/a.txt"))), "alpha");
+  EXPECT_FALSE(second.exists("pics/c.jpg"));
+  EXPECT_EQ(second.file_count(), 2u);
+  EXPECT_EQ(to_string(ByteView(*third.read_unfiltered("docs/b.txt"))), "third");
+}
+
+TEST(LayeredVolumeTest, RemoveThenRecreateBaseFileGetsANewId) {
+  const FileSystem base = layered_base();
+  const std::string before = volume_dump(base);
+  const FileId old_id = base.stat("docs/a.txt").value().id;
+  FileSystem clone = base.clone();
+  const ProcessId pid = clone.register_process("p");
+
+  ASSERT_TRUE(clone.remove(pid, "docs/a.txt").is_ok());
+  EXPECT_FALSE(clone.exists("docs/a.txt"));
+  EXPECT_EQ(clone.file_count(), 2u);
+  EXPECT_EQ(clone.dir_count(), 3u);
+  EXPECT_EQ(clone.list("docs").size(), 1u);
+  EXPECT_EQ(clone.list_files_recursive("docs"),
+            std::vector<std::string>{"docs/b.txt"});
+
+  ASSERT_TRUE(clone.write_file(pid, "docs/a.txt", to_bytes("again")).is_ok());
+  const FileId new_id = clone.stat("docs/a.txt").value().id;
+  EXPECT_NE(new_id, old_id);
+  EXPECT_EQ(new_id, 4u);  // the base handed out ids 1..3
+  EXPECT_EQ(clone.file_count(), 3u);
+  EXPECT_EQ(to_string(ByteView(*clone.read_unfiltered("docs/a.txt"))), "again");
+  EXPECT_EQ(volume_dump(base), before);
+  EXPECT_EQ(base.stat("docs/a.txt").value().id, old_id);
+}
+
+TEST(LayeredVolumeTest, RenameBaseFileAwayOntoAnotherAndBack) {
+  const FileSystem base = layered_base();
+  const std::string before = volume_dump(base);
+  const FileId a_id = base.stat("docs/a.txt").value().id;
+  const auto a_data = base.read_unfiltered("docs/a.txt");
+  FileSystem clone = base.clone();
+  const ProcessId pid = clone.register_process("p");
+
+  // To a new path in a new directory.
+  ASSERT_TRUE(clone.rename(pid, "docs/a.txt", "moved/a.txt").is_ok());
+  EXPECT_FALSE(clone.exists("docs/a.txt"));
+  EXPECT_EQ(clone.stat("moved/a.txt").value().id, a_id);
+  EXPECT_EQ(clone.read_unfiltered("moved/a.txt").get(), a_data.get());
+  EXPECT_EQ(clone.file_count(), 3u);
+  EXPECT_EQ(clone.dir_count(), 4u);
+
+  // Onto another base file: the destination's id is gone.
+  ASSERT_TRUE(clone.rename(pid, "moved/a.txt", "docs/b.txt").is_ok());
+  EXPECT_EQ(clone.stat("docs/b.txt").value().id, a_id);
+  EXPECT_EQ(to_string(ByteView(*clone.read_unfiltered("docs/b.txt"))), "alpha");
+  EXPECT_EQ(clone.file_count(), 2u);
+  EXPECT_TRUE(clone.list("moved").empty());
+
+  // And back to where it started.
+  ASSERT_TRUE(clone.rename(pid, "docs/b.txt", "docs/a.txt").is_ok());
+  EXPECT_EQ(clone.stat("docs/a.txt").value().id, a_id);
+  EXPECT_EQ(clone.read_unfiltered("docs/a.txt").get(), a_data.get());
+  EXPECT_FALSE(clone.exists("docs/b.txt"));
+  EXPECT_EQ(clone.file_count(), 2u);
+  EXPECT_EQ(clone.dir_count(), 4u);
+  EXPECT_EQ(clone.list_files_recursive(""),
+            (std::vector<std::string>{"docs/a.txt", "pics/c.jpg"}));
+  EXPECT_EQ(volume_dump(base), before);
+}
+
+TEST(LayeredVolumeTest, UnfilteredMutationAndTruncateStayInTheClone) {
+  const FileSystem base = layered_base();
+  const std::string before = volume_dump(base);
+  FileSystem clone = base.clone();
+  const FileSystem sibling = base.clone();
+  const ProcessId pid = clone.register_process("p");
+
+  ASSERT_TRUE(clone.set_read_only("docs/a.txt", true).is_ok());
+  EXPECT_TRUE(clone.stat("docs/a.txt").value().read_only);
+  EXPECT_EQ(clone.remove(pid, "docs/a.txt").code(), Errc::read_only);
+
+  auto h = clone.open(pid, "docs/b.txt", kWrite);
+  ASSERT_TRUE(h.is_ok());
+  ASSERT_TRUE(clone.truncate(pid, h.value(), 2).is_ok());
+  ASSERT_TRUE(clone.close(pid, h.value()).is_ok());
+  EXPECT_EQ(to_string(ByteView(*clone.read_unfiltered("docs/b.txt"))), "br");
+
+  const FileId c_id = clone.stat("pics/c.jpg").value().id;
+  ASSERT_TRUE(clone.put_file_raw("pics/c.jpg", to_bytes("replaced")).is_ok());
+  EXPECT_EQ(clone.stat("pics/c.jpg").value().id, c_id);
+  ASSERT_TRUE(clone.put_file_raw("extra/deep/e.txt", to_bytes("echo"), true).is_ok());
+  EXPECT_EQ(clone.file_count(), 4u);
+  EXPECT_EQ(clone.dir_count(), 5u);
+  EXPECT_EQ(clone.list_dirs_recursive(""),
+            (std::vector<std::string>{"docs", "extra", "extra/deep", "pics"}));
+
+  EXPECT_EQ(volume_dump(base), before);
+  EXPECT_EQ(volume_dump(sibling), before);
+}
+
+TEST(LayeredVolumeTest, InPlaceWriteNeverTouchesABaseBuffer) {
+  // The base layer is the only holder of this buffer once `built` is
+  // gone, so only the copy-up keeps the write off the exclusive-owner
+  // fast path.
+  FileSystem base = [] {
+    FileSystem built;
+    EXPECT_TRUE(built.put_file_raw("f", to_bytes("original")).is_ok());
+    return built.clone();
+  }();
+  FileSystem clone = base.clone();
+  const ProcessId pid = clone.register_process("p");
+  auto h = clone.open(pid, "f", kWrite);
+  ASSERT_TRUE(h.is_ok());
+  ASSERT_TRUE(clone.write(pid, h.value(), to_bytes("OVER")).is_ok());
+  ASSERT_TRUE(clone.close(pid, h.value()).is_ok());
+  EXPECT_EQ(to_string(ByteView(*clone.read_unfiltered("f"))), "OVERinal");
+  EXPECT_EQ(to_string(ByteView(*base.read_unfiltered("f"))), "original");
+}
+
+TEST(LayeredVolumeTest, ConcurrentClonesOfOneBaseLeaveItUnchanged) {
+  const FileSystem base = layered_base();
+  const std::string before = volume_dump(base);
+  constexpr int kThreads = 8;
+  std::vector<std::string> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&base, &results, t] {
+      for (int round = 0; round < 50; ++round) {
+        FileSystem clone = base.clone();
+        const ProcessId pid = clone.register_process("writer");
+        const std::string tag = std::to_string(t);
+        (void)clone.write_file(pid, "docs/a.txt", to_bytes("thread " + tag));
+        auto h = clone.open(pid, "docs/b.txt", kWrite);
+        if (h) {
+          (void)clone.write(pid, h.value(), to_bytes(tag));
+          (void)clone.close(pid, h.value());
+        }
+        (void)clone.rename(pid, "pics/c.jpg", "t" + tag + "/c.jpg");
+        (void)clone.remove(pid, "docs/b.txt");
+        (void)clone.set_read_only("docs/a.txt", true);
+        FileSystem nested = clone.clone();
+        results[static_cast<std::size_t>(t)] =
+            nested.list_files_recursive("") ==
+                    std::vector<std::string>{"docs/a.txt", "t" + tag + "/c.jpg"}
+                ? "ok"
+                : volume_dump(nested);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& result : results) EXPECT_EQ(result, "ok");
+  EXPECT_EQ(volume_dump(base), before);
 }
 
 TEST_F(VfsTest, InvalidPathsRejectedEverywhere) {
