@@ -1,25 +1,43 @@
-// Minimal JSON value builder/serializer (no parsing) for machine-readable
-// experiment reports. Deliberately tiny: objects preserve insertion
-// order, numbers print with enough precision to round-trip, strings are
-// escaped per RFC 8259.
+// The project's one JSON value type. Reports, daemon replies and span
+// traces are built and serialized through it, and parse_json reads the
+// daemon's request lines, `cryptodrop trace-report` input and `top`'s
+// watch frames back into it.
+//
+// Objects keep their members in insertion (or document) order. Numbers
+// are doubles: integral values print without a fraction, others with
+// %.10g, so 10 significant digits survive and a written value reads
+// back to what it printed. Strings are escaped per RFC 8259. The reader
+// caps nesting at kMaxJsonDepth.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/result.hpp"
+
 namespace cryptodrop {
+
+/// Deepest array/object nesting parse_json accepts. The daemon's own
+/// replies nest at most seven levels; the cap bounds the reader's
+/// recursion, so input like `[[[[...` cannot exhaust the stack.
+inline constexpr std::size_t kMaxJsonDepth = 64;
 
 /// A single JSON value: null, boolean, number, string, object or array.
 class Json {
  public:
   /// Default-constructs null.
-  Json() : kind_(Kind::null) {}
+  Json() = default;
   /// Null from the nullptr literal.
-  Json(std::nullptr_t) : kind_(Kind::null) {}  // NOLINT
+  Json(std::nullptr_t) {}  // NOLINT
   /// Boolean.
   Json(bool b) : kind_(Kind::boolean), bool_(b) {}  // NOLINT
   /// Number.
@@ -37,11 +55,11 @@ class Json {
   /// Number from unsigned (always exact in a double).
   Json(unsigned u) : kind_(Kind::number), number_(u) {}  // NOLINT
   /// String from a C literal.
-  Json(const char* s) : kind_(Kind::string), string_(s) {}  // NOLINT
+  Json(const char* s) : str(s), kind_(Kind::string) {}  // NOLINT
   /// String, taking ownership.
-  Json(std::string s) : kind_(Kind::string), string_(std::move(s)) {}  // NOLINT
+  Json(std::string s) : str(std::move(s)), kind_(Kind::string) {}  // NOLINT
   /// String copied from a view.
-  Json(std::string_view s) : kind_(Kind::string), string_(s) {}  // NOLINT
+  Json(std::string_view s) : str(s), kind_(Kind::string) {}  // NOLINT
 
   /// An empty object, ready for set().
   static Json object() {
@@ -56,152 +74,96 @@ class Json {
     return j;
   }
 
-  /// Object field (insertion-ordered; duplicate keys keep both, last one
-  /// wins for consumers that de-duplicate). Returns *this for chaining.
+  /// Object member, appended in order (a duplicate key is kept; find()
+  /// returns the first). Returns *this for chaining.
   Json& set(std::string key, Json value) {
-    fields_.emplace_back(std::move(key), std::move(value));
+    fields.emplace_back(std::move(key), std::move(value));
     return *this;
   }
 
   /// Array element. Returns *this for chaining.
   Json& push(Json value) {
-    elements_.push_back(std::move(value));
+    items.push_back(std::move(value));
     return *this;
   }
 
-  /// True when this value is an object.
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::object; }
-  /// True when this value is an array.
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::array; }
+  /// True when this value is a boolean.
+  [[nodiscard]] bool is_bool() const { return kind_ == Kind::boolean; }
   /// True when this value is a number.
   [[nodiscard]] bool is_number() const { return kind_ == Kind::number; }
   /// True when this value is a string.
   [[nodiscard]] bool is_string() const { return kind_ == Kind::string; }
-  /// The numeric value (0.0 when this is not a number).
-  [[nodiscard]] double as_number() const { return number_; }
-
-  /// Object field lookup (last duplicate wins, matching de-duplicating
-  /// consumers); nullptr when absent or this is not an object. Lets
-  /// report writers validate their own schema before shipping a file.
-  [[nodiscard]] const Json* find(std::string_view key) const {
-    if (kind_ != Kind::object) return nullptr;
-    const Json* found = nullptr;
-    for (const auto& [k, v] : fields_) {
-      if (k == key) found = &v;
-    }
-    return found;
-  }
-  /// Element count for arrays, field count for objects.
+  /// True when this value is an array.
+  [[nodiscard]] bool is_array() const { return kind_ == Kind::array; }
+  /// True when this value is an object.
+  [[nodiscard]] bool is_object() const { return kind_ == Kind::object; }
+  /// Element count for arrays, member count for objects.
   [[nodiscard]] std::size_t size() const {
-    return kind_ == Kind::array ? elements_.size() : fields_.size();
+    return kind_ == Kind::array ? items.size() : fields.size();
+  }
+
+  /// Member lookup (first match), or nullptr when absent or this is not
+  /// an object.
+  [[nodiscard]] const Json* find(std::string_view key) const;
+  /// String member, or `fallback` when absent or not a string.
+  [[nodiscard]] std::string string_or(std::string_view key,
+                                      std::string_view fallback) const;
+  /// Numeric member, or `fallback` when absent or not a number.
+  [[nodiscard]] double number_or(std::string_view key, double fallback) const;
+  /// Boolean member, or `fallback` when absent or not a boolean.
+  [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
+
+  /// Integer member for ids, counts and cursors: `fallback` when absent
+  /// or not a number; the value when it is integral, fits T and lies
+  /// within ±2^53 (past that a double skips integers, so an echoed
+  /// value could differ); invalid_argument naming the key and the
+  /// accepted range otherwise. The range check runs before the cast, so
+  /// no client number reaches an undefined double-to-integer conversion.
+  template <typename T>
+  [[nodiscard]] Result<T> integer_or(std::string_view key, T fallback) const {
+    static_assert(std::is_integral_v<T>);
+    const Json* v = find(key);
+    if (v == nullptr || !v->is_number()) return fallback;
+    constexpr double kExact = 9007199254740992.0;  // 2^53
+    const double lo =
+        std::max(-kExact, static_cast<double>(std::numeric_limits<T>::min()));
+    const double hi =
+        std::min(kExact, static_cast<double>(std::numeric_limits<T>::max()));
+    const double d = v->number_;
+    if (d >= lo && d <= hi && d == std::trunc(d)) return static_cast<T>(d);
+    return integer_error(key, lo, hi);
   }
 
   /// Compact serialization.
-  [[nodiscard]] std::string to_string() const {
-    std::string out;
-    write(out, /*indent=*/-1, /*depth=*/0);
-    return out;
-  }
+  [[nodiscard]] std::string to_string() const;
+  /// Pretty serialization with 2-space indentation and a final newline.
+  [[nodiscard]] std::string to_pretty_string() const;
 
-  /// Pretty serialization with 2-space indentation.
-  [[nodiscard]] std::string to_pretty_string() const {
-    std::string out;
-    write(out, /*indent=*/2, /*depth=*/0);
-    out.push_back('\n');
-    return out;
-  }
+  // The containers are public so readers can iterate them directly; a
+  // value's kind and scalar stay behind the accessors above.
+
+  /// The string; empty unless is_string().
+  std::string str;
+  /// Array elements in order; empty unless is_array().
+  std::vector<Json> items;
+  /// Object members in insertion or document order; empty unless
+  /// is_object().
+  std::vector<std::pair<std::string, Json>> fields;
 
  private:
   enum class Kind : std::uint8_t { null, boolean, number, string, object, array };
 
-  static void escape_into(std::string& out, std::string_view s) {
-    out.push_back('"');
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out.push_back(c);
-          }
-      }
-    }
-    out.push_back('"');
-  }
+  static Status integer_error(std::string_view key, double lo, double hi);
+  void write(std::string& out, int indent, int depth) const;
 
-  void newline(std::string& out, int indent, int depth) const {
-    if (indent < 0) return;
-    out.push_back('\n');
-    out.append(static_cast<std::size_t>(indent * depth), ' ');
-  }
-
-  void write(std::string& out, int indent, int depth) const {
-    switch (kind_) {
-      case Kind::null:
-        out += "null";
-        break;
-      case Kind::boolean:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::number: {
-        char buf[32];
-        // Integers print without a fraction; others with %.10g.
-        if (number_ == static_cast<double>(static_cast<std::int64_t>(number_))) {
-          std::snprintf(buf, sizeof(buf), "%lld",
-                        static_cast<long long>(number_));
-        } else {
-          std::snprintf(buf, sizeof(buf), "%.10g", number_);
-        }
-        out += buf;
-        break;
-      }
-      case Kind::string:
-        escape_into(out, string_);
-        break;
-      case Kind::object: {
-        out.push_back('{');
-        bool first = true;
-        for (const auto& [key, value] : fields_) {
-          if (!first) out.push_back(',');
-          first = false;
-          newline(out, indent, depth + 1);
-          escape_into(out, key);
-          out += indent < 0 ? ":" : ": ";
-          value.write(out, indent, depth + 1);
-        }
-        if (!fields_.empty()) newline(out, indent, depth);
-        out.push_back('}');
-        break;
-      }
-      case Kind::array: {
-        out.push_back('[');
-        bool first = true;
-        for (const Json& value : elements_) {
-          if (!first) out.push_back(',');
-          first = false;
-          newline(out, indent, depth + 1);
-          value.write(out, indent, depth + 1);
-        }
-        if (!elements_.empty()) newline(out, indent, depth);
-        out.push_back(']');
-        break;
-      }
-    }
-  }
-
-  Kind kind_;
+  Kind kind_ = Kind::null;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
-  std::vector<std::pair<std::string, Json>> fields_;
-  std::vector<Json> elements_;
 };
+
+/// Parses one JSON document (object, array or scalar). Returns nullopt
+/// on malformed input, trailing garbage, or nesting deeper than
+/// kMaxJsonDepth.
+std::optional<Json> parse_json(std::string_view text);
 
 }  // namespace cryptodrop

@@ -39,18 +39,18 @@ Response error_response(const Status& status) {
 }
 
 /// Applies the documented `config` overrides (docs/DAEMON.md `attach`)
-/// on top of the daemon's default scoring config.
-core::ScoringConfig config_from_json(core::ScoringConfig base,
-                                     const JsonValue* overrides) {
-  if (overrides == nullptr || overrides->kind != JsonValue::Kind::object) {
-    return base;
+/// on top of the daemon's default scoring config. Fails when an integer
+/// override is not an integer that fits.
+Result<core::ScoringConfig> config_from_json(core::ScoringConfig base,
+                                             const Json* overrides) {
+  if (overrides == nullptr || !overrides->is_object()) return base;
+  for (auto [key, field] : {std::pair{"score_threshold", &base.score_threshold},
+                            std::pair{"union_threshold", &base.union_threshold},
+                            std::pair{"union_bonus", &base.union_bonus}}) {
+    const Result<int> value = overrides->integer_or(key, *field);
+    if (!value) return value.status();
+    *field = value.value();
   }
-  base.score_threshold = static_cast<int>(overrides->number_or(
-      "score_threshold", base.score_threshold));
-  base.union_threshold = static_cast<int>(overrides->number_or(
-      "union_threshold", base.union_threshold));
-  base.union_bonus =
-      static_cast<int>(overrides->number_or("union_bonus", base.union_bonus));
   base.enable_union = overrides->bool_or("enable_union", base.enable_union);
   base.enable_family_scoring = overrides->bool_or("enable_family_scoring",
                                                   base.enable_family_scoring);
@@ -59,7 +59,7 @@ core::ScoringConfig config_from_json(core::ScoringConfig base,
   return base;
 }
 
-Response handle_request(Daemon& daemon, const JsonValue& request,
+Response handle_request(Daemon& daemon, const Json& request,
                         WatchSubscription* watch) {
   const std::string type = request.string_or("type", "");
   if (type == "ping") {
@@ -67,9 +67,10 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
   }
   if (type == "attach") {
     const std::string tenant = request.string_or("tenant", "");
-    const Status status = daemon.attach(
-        tenant, config_from_json(daemon.default_config(),
-                                 request.find("config")));
+    const Result<core::ScoringConfig> config =
+        config_from_json(daemon.default_config(), request.find("config"));
+    if (!config) return error_response(config.status());
+    const Status status = daemon.attach(tenant, config.value());
     if (!status) return error_response(status);
     return ok_with(ok_response().set("tenant", tenant));
   }
@@ -79,23 +80,26 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
     return ok_with(ok_response());
   }
   if (type == "spawn") {
-    const Status status = daemon.spawn(
-        request.string_or("tenant", ""),
-        static_cast<vfs::ProcessId>(request.number_or("pid", 0)),
-        request.string_or("name", "process"),
-        static_cast<vfs::ProcessId>(request.number_or("parent", 0)));
+    const Result<vfs::ProcessId> pid = request.integer_or<vfs::ProcessId>("pid", 0);
+    if (!pid) return error_response(pid.status());
+    const Result<vfs::ProcessId> parent =
+        request.integer_or<vfs::ProcessId>("parent", 0);
+    if (!parent) return error_response(parent.status());
+    const Status status =
+        daemon.spawn(request.string_or("tenant", ""), pid.value(),
+                     request.string_or("name", "process"), parent.value());
     if (!status) return error_response(status);
     return ok_with(ok_response());
   }
   if (type == "submit") {
-    const JsonValue* ops = request.find("ops");
-    if (ops == nullptr || ops->kind != JsonValue::Kind::array) {
+    const Json* ops = request.find("ops");
+    if (ops == nullptr || !ops->is_array()) {
       return error_response("submit requires an `ops` array");
     }
     std::vector<vfs::TraceEntry> entries;
     entries.reserve(ops->items.size());
-    for (const JsonValue& op : ops->items) {
-      if (op.kind != JsonValue::Kind::string) {
+    for (const Json& op : ops->items) {
+      if (!op.is_string()) {
         return error_response("each op must be a serialized trace-entry string");
       }
       std::optional<vfs::TraceEntry> entry = vfs::parse_trace_entry(op.str);
@@ -112,8 +116,8 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
         .set("shed", result.value().shed));
   }
   if (type == "drain") {
-    const JsonValue* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->kind == JsonValue::Kind::string) {
+    const Json* tenant = request.find("tenant");
+    if (tenant != nullptr && tenant->is_string()) {
       const Status status = daemon.drain(tenant->str);
       if (!status) return error_response(status);
     } else {
@@ -129,15 +133,16 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
                              scoreboard_to_json(snapshot.value())));
   }
   if (type == "explain") {
+    const Result<vfs::ProcessId> pid = request.integer_or<vfs::ProcessId>("pid", 0);
+    if (!pid) return error_response(pid.status());
     Result<obs::ForensicTimeline> timeline =
-        daemon.explain(request.string_or("tenant", ""),
-                       static_cast<vfs::ProcessId>(request.number_or("pid", 0)));
+        daemon.explain(request.string_or("tenant", ""), pid.value());
     if (!timeline) return error_response(timeline.status());
     return ok_with(ok_response().set("forensic", obs::to_json(timeline.value())));
   }
   if (type == "metrics") {
-    const JsonValue* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->kind == JsonValue::Kind::string) {
+    const Json* tenant = request.find("tenant");
+    if (tenant != nullptr && tenant->is_string()) {
       Result<obs::MetricsSnapshot> snapshot = daemon.tenant_metrics(tenant->str);
       if (!snapshot) return error_response(snapshot.status());
       return ok_with(ok_response().set("metrics", obs::to_json(snapshot.value())));
@@ -145,12 +150,13 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
     return ok_with(ok_response().set("metrics", obs::to_json(daemon.metrics())));
   }
   if (type == "events") {
-    const auto cursor =
-        static_cast<std::uint64_t>(request.number_or("cursor", 0));
-    const std::string tenant = request.string_or("tenant", "");
-    const auto max = static_cast<std::size_t>(request.number_or("max", 256));
-    const EventJournal::Drain drain =
-        daemon.telemetry().journal().since(cursor, tenant, max);
+    const Result<std::uint64_t> cursor =
+        request.integer_or<std::uint64_t>("cursor", 0);
+    if (!cursor) return error_response(cursor.status());
+    const Result<std::size_t> max = request.integer_or<std::size_t>("max", 256);
+    if (!max) return error_response(max.status());
+    const EventJournal::Drain drain = daemon.telemetry().journal().since(
+        cursor.value(), request.string_or("tenant", ""), max.value());
     Json rows = Json::array();
     for (const JournalEvent& event : drain.events) rows.push(to_json(event));
     return ok_with(ok_response()
@@ -161,11 +167,10 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
                             static_cast<unsigned long long>(drain.dropped)));
   }
   if (type == "watch") {
-    const JsonValue* cursor = request.find("cursor");
-    const std::uint64_t start =
-        cursor != nullptr && cursor->kind == JsonValue::Kind::number
-            ? static_cast<std::uint64_t>(cursor->num)
-            : daemon.telemetry().journal().emitted();
+    const Result<std::uint64_t> cursor = request.integer_or<std::uint64_t>(
+        "cursor", daemon.telemetry().journal().emitted());
+    if (!cursor) return error_response(cursor.status());
+    const std::uint64_t start = cursor.value();
     if (watch != nullptr) {
       watch->requested = true;
       watch->tenant = request.string_or("tenant", "");
@@ -216,9 +221,9 @@ std::string ControlDispatcher::handle_line(std::string_view line) {
 std::string ControlDispatcher::handle_line(std::string_view line,
                                            WatchSubscription* watch) {
   daemon_->daemon_metrics().control_requests().add();
-  std::optional<JsonValue> request = parse_json(line);
+  std::optional<Json> request = parse_json(line);
   Response response =
-      (!request.has_value() || request->kind != JsonValue::Kind::object)
+      (!request.has_value() || !request->is_object())
           ? error_response("request is not a JSON object")
           : handle_request(*daemon_, *request, watch);
   if (!response.ok) daemon_->daemon_metrics().control_errors().add();

@@ -306,12 +306,9 @@ void Daemon::worker_loop(std::size_t index) {
     telemetry.beat();
     // One depth sample per batch (not per op): what was still queued
     // behind the batch we just took.
-    const double remaining = static_cast<double>(queue.depth());
-    telemetry.queue_depth().record(remaining);
-    metrics_.worker_queue_depth().record(remaining);
+    metrics_.worker_queue_depth().record(static_cast<double>(queue.depth()));
     for (QueueItem& item : batch) {
-      obs::ScopedTimer timer(&telemetry.ingest_latency_us(),
-                             &metrics_.worker_ingest_latency_us());
+      obs::ScopedTimer timer(&metrics_.worker_ingest_latency_us());
       execute_item(item);
     }
     // Count before done(): drain() can return the instant the queue

@@ -234,7 +234,7 @@ class Daemon {
   /// worker heartbeats (thresholds in docs/DAEMON.md); refreshes the
   /// overload state and the daemon_health_level gauge.
   [[nodiscard]] HealthReport health();
-  /// The operator telemetry plane (journal + per-worker instruments).
+  /// The operator telemetry plane (journal + per-worker heartbeats).
   [[nodiscard]] DaemonTelemetry& telemetry() { return *telemetry_; }
   /// Const view of the telemetry plane (query paths).
   [[nodiscard]] const DaemonTelemetry& telemetry() const { return *telemetry_; }

@@ -64,7 +64,7 @@ class DaemonMetrics {
   /// `watch` subscriptions currently streaming.
   obs::Gauge& watch_clients() { return *watch_clients_; }
   /// Per-op execute latency observed by workers (all workers merged;
-  /// the per-worker split lives in DaemonTelemetry).
+  /// no per-worker split is kept).
   obs::Histogram& worker_ingest_latency_us() { return *ingest_latency_us_; }
   /// Per-batch queue-depth samples taken by draining workers.
   obs::Histogram& worker_queue_depth() { return *worker_queue_depth_; }

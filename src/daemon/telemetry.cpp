@@ -94,10 +94,6 @@ std::uint64_t EventJournal::overwritten() const {
   return overwritten_;
 }
 
-WorkerTelemetry::WorkerTelemetry()
-    : latency_(obs::MetricsRegistry::latency_buckets_us()),
-      depth_(obs::MetricsRegistry::latency_buckets_us()) {}
-
 DaemonTelemetry::DaemonTelemetry(std::size_t workers,
                                  std::size_t journal_capacity)
     : journal_(journal_capacity) {

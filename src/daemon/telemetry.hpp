@@ -1,6 +1,6 @@
 // cryptodropd operator telemetry: the event journal, per-worker
-// ingestion instruments, and the health verdict (docs/DAEMON.md
-// "Operator telemetry").
+// heartbeats, and the health verdict (docs/DAEMON.md "Operator
+// telemetry").
 //
 // The journal is a bounded ring of structured events (tenant
 // attach/detach, suspension verdicts, shed transitions, overload
@@ -18,12 +18,12 @@
 //    (with an exact count) instead of blocking a worker. Conservation:
 //    emitted == delivered + dropped for every cursor-following reader.
 //
-// Per-worker instruments (DaemonTelemetry) are plain obs::Histogram /
-// atomic cells — lock-free writes from exactly one worker thread each,
-// snapshot reads from anywhere. They feed the `watch` stream's worker
-// frames and the `health` verdict; the registry-level aggregates
-// (daemon_worker_ingest_latency_us, daemon_worker_queue_depth) live in
-// DaemonMetrics so the scrape schema stays enumerable.
+// Each worker's heartbeat (DaemonTelemetry) is one atomic cell —
+// lock-free writes from exactly one worker thread, reads from anywhere
+// — summed into the `health` verdict. Queue depth and execute latency
+// are recorded once, into DaemonMetrics' registry-level histograms
+// (daemon_worker_queue_depth, daemon_worker_ingest_latency_us), merged
+// across workers so the scrape schema stays enumerable.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,6 @@
 
 #include "common/json.hpp"
 #include "common/ranked_mutex.hpp"
-#include "obs/metrics.hpp"
 
 namespace cryptodrop::daemon {
 
@@ -134,43 +133,23 @@ class EventJournal {
   std::uint64_t overwritten_ = 0;
 };
 
-/// Per-worker ingestion instruments: an ingest-latency histogram, a
-/// queue-depth histogram and a heartbeat counter (one batch drained =
-/// one beat). Written lock-free by that worker only; read from any
-/// thread via snapshots.
+/// A worker's liveness signal: a heartbeat counter, one beat per
+/// drained batch. Written lock-free by that worker only; read from any
+/// thread. (Queue depth and execute latency go to DaemonMetrics.)
 class WorkerTelemetry {
  public:
-  /// Instruments with the standard latency buckets (1 µs … 65.536 ms
-  /// powers of two) for latency and the same power-of-two edges
-  /// reinterpreted as op counts for depth.
-  WorkerTelemetry();
-
-  /// The worker's per-op execute-latency histogram (µs).
-  [[nodiscard]] obs::Histogram& ingest_latency_us() { return latency_; }
-  /// The worker's per-batch queue-depth histogram (ops).
-  [[nodiscard]] obs::Histogram& queue_depth() { return depth_; }
   /// Marks one drained batch (liveness signal for `health`).
   void beat() { heartbeat_.fetch_add(1, std::memory_order_relaxed); }
   /// Batches drained so far (monotonic; 0 until the worker's first pop).
   [[nodiscard]] std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_relaxed);
   }
-  /// Snapshot of the latency histogram (name/help left empty).
-  [[nodiscard]] obs::HistogramSnapshot latency_snapshot() const {
-    return latency_.snapshot();
-  }
-  /// Snapshot of the depth histogram (name/help left empty).
-  [[nodiscard]] obs::HistogramSnapshot depth_snapshot() const {
-    return depth_.snapshot();
-  }
 
  private:
-  obs::Histogram latency_;
-  obs::Histogram depth_;
   std::atomic<std::uint64_t> heartbeat_{0};
 };
 
-/// Journal + per-worker instruments, one per Daemon (constructed after
+/// Journal + per-worker heartbeats, one per Daemon (constructed after
 /// the worker count is fixed, before workers start).
 class DaemonTelemetry {
  public:
@@ -181,11 +160,11 @@ class DaemonTelemetry {
   [[nodiscard]] EventJournal& journal() { return journal_; }
   /// Const view of the journal (query paths).
   [[nodiscard]] const EventJournal& journal() const { return journal_; }
-  /// Worker `index`'s instruments (index < workers()).
+  /// Worker `index`'s heartbeat (index < workers()).
   [[nodiscard]] WorkerTelemetry& worker(std::size_t index) {
     return *workers_[index];
   }
-  /// Const view of worker `index`'s instruments.
+  /// Const view of worker `index`'s heartbeat.
   [[nodiscard]] const WorkerTelemetry& worker(std::size_t index) const {
     return *workers_[index];
   }

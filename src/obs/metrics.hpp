@@ -235,30 +235,13 @@ class ScopedTimer {
   }
 #endif
 
-  /// Two-sink variant: records the same duration into `histogram` and
-  /// `secondary` (one clock read pair; either may be null). Used by the
-  /// daemon to feed a per-worker histogram and the registry aggregate.
-  ScopedTimer(Histogram* histogram, Histogram* secondary)
-#ifndef CRYPTODROP_NO_METRICS
-      : histogram_(histogram), secondary_(secondary) {
-    if (histogram_ != nullptr || secondary_ != nullptr) start_ = now_ns();
-  }
-#else
-  {
-    (void)histogram;
-    (void)secondary;
-  }
-#endif
-
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
 #ifndef CRYPTODROP_NO_METRICS
-    if (histogram_ != nullptr || secondary_ != nullptr) {
-      const double us = static_cast<double>(now_ns() - start_) / 1000.0;
-      if (histogram_ != nullptr) histogram_->record(us);
-      if (secondary_ != nullptr) secondary_->record(us);
+    if (histogram_ != nullptr) {
+      histogram_->record(static_cast<double>(now_ns() - start_) / 1000.0);
     }
 #endif
   }
@@ -267,7 +250,6 @@ class ScopedTimer {
 #ifndef CRYPTODROP_NO_METRICS
   static std::uint64_t now_ns();
   Histogram* histogram_ = nullptr;
-  Histogram* secondary_ = nullptr;
   std::uint64_t start_ = 0;
 #endif
 };

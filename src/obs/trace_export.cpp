@@ -2,24 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 
 namespace cryptodrop::obs {
 
 namespace {
-
-/// Matches Json's number formatting: integers without a fraction.
-std::string number_to_string(double v) {
-  char buf[32];
-  if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-  }
-  return buf;
-}
 
 Json event_json(std::string_view name, char phase, double ts_us,
                 std::uint64_t pid, std::uint64_t tid) {
@@ -126,308 +115,50 @@ Json empty_trace_json() { return to_trace_json(SpanSnapshot{}); }
 
 namespace {
 
-/// Parsed JSON value (common/json.hpp is a serialize-only builder by
-/// design, so the trace reader carries its own minimal recursive-descent
-/// parser — it only ever reads files this module wrote).
-struct JsonValue {
-  enum class Kind : std::uint8_t { null, boolean, number, string, array, object };
-  Kind kind = Kind::null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  [[nodiscard]] const JsonValue* field(std::string_view key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class MiniParser {
- public:
-  explicit MiniParser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> parse() {
-    JsonValue value;
-    if (!parse_value(value)) return fail();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error_ = "trailing characters after JSON value";
-      return fail();
-    }
-    return value;
-  }
-
- private:
-  Status fail() const {
-    return Status(Errc::invalid_argument,
-                  error_ + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      error_ = "bad literal";
-      return false;
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      error_ = "unexpected end of input";
-      return false;
-    }
-    switch (text_[pos_]) {
-      case 'n': out.kind = JsonValue::Kind::null; return literal("null");
-      case 't':
-        out.kind = JsonValue::Kind::boolean;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JsonValue::Kind::boolean;
-        out.boolean = false;
-        return literal("false");
-      case '"':
-        out.kind = JsonValue::Kind::string;
-        return parse_string(out.string);
-      case '[': return parse_array(out);
-      case '{': return parse_object(out);
-      default:
-        out.kind = JsonValue::Kind::number;
-        return parse_number(out.number);
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            error_ = "truncated \\u escape";
-            return false;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else {
-              error_ = "bad \\u escape";
-              return false;
-            }
-          }
-          // UTF-8 encode the basic multilingual plane (the exporter
-          // never writes surrogate pairs).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          error_ = "bad escape";
-          return false;
-      }
-    }
-    error_ = "unterminated string";
-    return false;
-  }
-
-  bool parse_number(double& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) {
-      error_ = "expected a value";
-      return false;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      error_ = "bad number '" + token + "'";
-      return false;
-    }
-    return true;
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::array;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue item;
-      if (!parse_value(item)) return false;
-      out.items.push_back(std::move(item));
-      skip_ws();
-      if (pos_ >= text_.size()) {
-        error_ = "unterminated array";
-        return false;
-      }
-      const char c = text_[pos_++];
-      if (c == ']') return true;
-      if (c != ',') {
-        --pos_;
-        error_ = "expected ',' or ']'";
-        return false;
-      }
-    }
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        error_ = "expected object key";
-        return false;
-      }
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        error_ = "expected ':'";
-        return false;
-      }
-      ++pos_;
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.fields.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) {
-        error_ = "unterminated object";
-        return false;
-      }
-      const char c = text_[pos_++];
-      if (c == '}') return true;
-      if (c != ',') {
-        --pos_;
-        error_ = "expected ',' or '}'";
-        return false;
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_ = "parse error";
-};
-
-std::string scalar_to_display(const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::null: return "null";
-    case JsonValue::Kind::boolean: return v.boolean ? "true" : "false";
-    case JsonValue::Kind::number: return number_to_string(v.number);
-    case JsonValue::Kind::string: return v.string;
-    case JsonValue::Kind::array: return "<array>";
-    case JsonValue::Kind::object: return "<object>";
-  }
-  return "?";
+/// An arg value as analysis keys on it: strings bare, other scalars in
+/// their JSON spelling ("3.5", "true", "null").
+std::string scalar_to_display(const Json& v) {
+  if (v.is_string()) return v.str;
+  if (v.is_array()) return "<array>";
+  if (v.is_object()) return "<object>";
+  return v.to_string();
 }
 
 }  // namespace
 
 Result<std::vector<TraceEvent>> parse_trace_events(std::string_view text) {
-  Result<JsonValue> parsed = MiniParser(text).parse();
-  if (!parsed) return parsed.status();
-  const JsonValue& root = parsed.value();
-
-  const JsonValue* events = nullptr;
-  if (root.kind == JsonValue::Kind::array) {
-    events = &root;
-  } else if (root.kind == JsonValue::Kind::object) {
-    events = root.field("traceEvents");
+  const std::optional<Json> root = parse_json(text);
+  if (!root.has_value()) {
+    return Status(Errc::invalid_argument,
+                  "malformed JSON, or nesting deeper than " +
+                      std::to_string(kMaxJsonDepth) + " levels");
   }
-  if (events == nullptr || events->kind != JsonValue::Kind::array) {
+  const Json* events = root->is_array() ? &*root : root->find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
     return Status(Errc::invalid_argument,
                   "no traceEvents array in trace document");
   }
 
   std::vector<TraceEvent> out;
   out.reserve(events->items.size());
-  for (const JsonValue& item : events->items) {
-    if (item.kind != JsonValue::Kind::object) {
+  for (const Json& item : events->items) {
+    if (!item.is_object()) {
       return Status(Errc::invalid_argument, "trace event is not an object");
     }
     TraceEvent ev;
-    if (const JsonValue* v = item.field("name");
-        v != nullptr && v->kind == JsonValue::Kind::string) {
-      ev.name = v->string;
+    ev.name = item.string_or("name", "");
+    if (const std::string ph = item.string_or("ph", ""); !ph.empty()) {
+      ev.phase = ph[0];
     }
-    if (const JsonValue* v = item.field("ph");
-        v != nullptr && v->kind == JsonValue::Kind::string && !v->string.empty()) {
-      ev.phase = v->string[0];
-    }
-    if (const JsonValue* v = item.field("ts");
-        v != nullptr && v->kind == JsonValue::Kind::number) {
-      ev.ts = v->number;
-    }
-    if (const JsonValue* v = item.field("pid");
-        v != nullptr && v->kind == JsonValue::Kind::number) {
-      ev.pid = static_cast<std::int64_t>(v->number);
-    }
-    if (const JsonValue* v = item.field("tid");
-        v != nullptr && v->kind == JsonValue::Kind::number) {
-      ev.tid = static_cast<std::int64_t>(v->number);
-    }
-    if (const JsonValue* v = item.field("args");
-        v != nullptr && v->kind == JsonValue::Kind::object) {
-      for (const auto& [key, value] : v->fields) {
+    ev.ts = item.number_or("ts", 0.0);
+    const Result<std::int64_t> pid = item.integer_or<std::int64_t>("pid", 0);
+    if (!pid) return pid.status();
+    const Result<std::int64_t> tid = item.integer_or<std::int64_t>("tid", 0);
+    if (!tid) return tid.status();
+    ev.pid = pid.value();
+    ev.tid = tid.value();
+    if (const Json* args = item.find("args"); args != nullptr && args->is_object()) {
+      for (const auto& [key, value] : args->fields) {
         ev.args.emplace_back(key, scalar_to_display(value));
       }
     }

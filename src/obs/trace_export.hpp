@@ -7,8 +7,8 @@
 //    microseconds, one track per (pid, tid)) loadable in Perfetto or
 //    chrome://tracing. Snapshots from many trials merge into one file
 //    via per-trial pid/tid offsets plus `process_name` metadata events.
-//  * Parse/validate — a minimal trace-event JSON reader (common/json.hpp
-//    is serialize-only by design) plus a validator for the properties
+//  * Parse/validate — trace events read through common/json.hpp's
+//    depth-capped parse_json, plus a validator for the properties
 //    tests and `trace-report` rely on: well-formed, monotone `ts` per
 //    (pid, tid) track, matching B/E pairs.
 //  * Analyze — folds a parsed trace into the critical-path summary the
@@ -70,8 +70,9 @@ struct TraceEvent {
 };
 
 /// Parses a trace document (either {"traceEvents": [...]} or a bare
-/// event array). Fails with invalid_argument on malformed JSON or a
-/// missing/ill-typed traceEvents array.
+/// event array). Fails with invalid_argument on malformed JSON, nesting
+/// deeper than kMaxJsonDepth, a missing/ill-typed traceEvents array, or
+/// a `pid`/`tid` that is not an integer within ±2^53.
 [[nodiscard]] Result<std::vector<TraceEvent>> parse_trace_events(
     std::string_view text);
 

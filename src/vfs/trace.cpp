@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <map>
 #include <utility>
 
 #include "common/hex.hpp"
@@ -171,113 +170,6 @@ std::optional<std::vector<TraceEntry>> parse_trace(std::string_view text) {
     entries.push_back(std::move(*entry));
   }
   return entries;
-}
-
-ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries) {
-  ReplayResult result;
-  std::map<ProcessId, ProcessId> pid_map;
-  // Open handles are not serialized; each read/write replays through a
-  // short-lived handle positioned at the recorded offset.
-  auto replay_pid = [&](ProcessId original) {
-    auto it = pid_map.find(original);
-    if (it != pid_map.end()) return it->second;
-    const ProcessId fresh =
-        fs.register_process("replay_" + std::to_string(original));
-    pid_map.emplace(original, fresh);
-    return fresh;
-  };
-
-  std::uint64_t last_timestamp = 0;
-  for (const TraceEntry& entry : entries) {
-    if (entry.timestamp > last_timestamp) {
-      // Preserve inter-op pacing (rate-indicator studies depend on it).
-      const std::uint64_t gap = entry.timestamp - last_timestamp;
-      if (gap > FileSystem::kOpCostMicros) {
-        fs.advance_time(gap - FileSystem::kOpCostMicros);
-      }
-      last_timestamp = entry.timestamp;
-    }
-    const ProcessId pid = replay_pid(entry.pid);
-    Status status = Status::ok();
-    switch (entry.op) {
-      case OpType::mkdir:
-        status = fs.mkdir(pid, entry.path);
-        break;
-      case OpType::open:
-      case OpType::close:
-        // Handle lifetimes are reconstructed around reads/writes below;
-        // bare opens and closes carry no replayable state. A recorded
-        // truncating open must still truncate.
-        if (entry.op == OpType::open && (entry.open_mode & kTruncate) != 0) {
-          auto h = fs.open(pid, entry.path, entry.open_mode);
-          if (h) status = fs.close(pid, h.value());
-          else status = h.status();
-        }
-        break;
-      case OpType::read: {
-        auto h = fs.open(pid, entry.path, kRead);
-        if (!h) {
-          status = h.status();
-          break;
-        }
-        (void)fs.seek(pid, h.value(), entry.offset);
-        auto data = fs.read(pid, h.value(), static_cast<std::size_t>(entry.length));
-        status = data ? fs.close(pid, h.value()) : data.status();
-        if (!data) (void)fs.close(pid, h.value());
-        break;
-      }
-      case OpType::write: {
-        if (entry.length > ExactReplayer::kMaxFileBytes ||
-            entry.offset > ExactReplayer::kMaxFileBytes - entry.length) {
-          status = Status(Errc::invalid_argument, "replayed write past the file bound");
-          break;
-        }
-        auto h = fs.open(pid, entry.path, kWrite | kCreate);
-        if (!h) {
-          status = h.status();
-          break;
-        }
-        (void)fs.seek(pid, h.value(), entry.offset);
-        // Metadata-only traces have no payload: replay zeros of the
-        // recorded length (all a content-free log can reconstruct).
-        Bytes payload = entry.data;
-        if (payload.size() != entry.length) {
-          payload.assign(static_cast<std::size_t>(entry.length), 0);
-        }
-        status = fs.write(pid, h.value(), ByteView(payload));
-        Status closed = fs.close(pid, h.value());
-        if (status.is_ok()) status = closed;
-        break;
-      }
-      case OpType::truncate: {
-        if (entry.length > ExactReplayer::kMaxFileBytes) {
-          status = Status(Errc::invalid_argument, "replayed truncate past the file bound");
-          break;
-        }
-        auto h = fs.open(pid, entry.path, kWrite);
-        if (!h) {
-          status = h.status();
-          break;
-        }
-        status = fs.truncate(pid, h.value(), entry.length);
-        Status closed = fs.close(pid, h.value());
-        if (status.is_ok()) status = closed;
-        break;
-      }
-      case OpType::remove:
-        status = fs.remove(pid, entry.path);
-        break;
-      case OpType::rename:
-        status = fs.rename(pid, entry.path, entry.dest_path);
-        break;
-    }
-    if (status.is_ok()) {
-      ++result.applied;
-    } else {
-      ++result.failed;
-    }
-  }
-  return result;
 }
 
 ProcessId ExactReplayer::live_pid(ProcessId recorded) {

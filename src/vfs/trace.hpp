@@ -16,10 +16,11 @@
 // The TraceRecorder can capture either a *content-carrying* trace
 // (written bytes included — enough information to reproduce every
 // engine measurement on replay) or a *metadata-only* trace (op, path,
-// sizes — what a typical syscall logger keeps). Replaying the former
-// against a clone of the original volume reproduces detection;
-// replaying the latter demonstrably loses indicators. The text format
-// is line-based and diff-friendly.
+// sizes — what a typical syscall logger keeps). ExactReplayer replaying
+// the former against a clone of the original volume reproduces
+// detection; the latter, its writes filled with zeros of the recorded
+// length, demonstrably loses indicators. The text format is line-based
+// and diff-friendly.
 #pragma once
 
 #include <map>
@@ -92,21 +93,6 @@ std::string serialize_trace(const std::vector<TraceEntry>& entries);
 
 /// Parses a serialized trace. Returns nullopt on malformed input.
 std::optional<std::vector<TraceEntry>> parse_trace(std::string_view text);
-
-/// Outcome of a replay.
-struct ReplayResult {
-  std::size_t applied = 0;
-  std::size_t failed = 0;  ///< Ops whose replay returned an error.
-};
-
-/// Replays a trace against `fs`, attributing every operation to a fresh
-/// "replayer" process per original pid (so per-process analysis keyed on
-/// the replayed volume still separates actors). Metadata-only traces
-/// replay writes as zero-filled payloads of the recorded length — the
-/// best a content-free log can do, and exactly why it is not enough. A
-/// write or truncate past ExactReplayer::kMaxFileBytes counts as failed
-/// instead of allocating what its numbers ask for.
-ReplayResult replay_trace(FileSystem& fs, const std::vector<TraceEntry>& entries);
 
 /// Replays a *content-carrying, handle-carrying* trace exactly: handles
 /// are kept open across entries (mapped recorded id -> live handle),

@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -61,17 +63,31 @@ QueueItem op_item(vfs::TraceEntry entry) {
 }
 
 /// Deepest array/object nesting in a parsed document (a scalar is 0).
-std::size_t nesting_depth(const JsonValue& value) {
+std::size_t nesting_depth(const Json& value) {
   std::size_t deepest = 0;
-  for (const JsonValue& item : value.items) {
+  for (const Json& item : value.items) {
     deepest = std::max(deepest, nesting_depth(item));
   }
   for (const auto& field : value.fields) {
     deepest = std::max(deepest, nesting_depth(field.second));
   }
-  const bool container = value.kind == JsonValue::Kind::array ||
-                         value.kind == JsonValue::Kind::object;
+  const bool container = value.is_array() || value.is_object();
   return deepest + (container ? 1 : 0);
+}
+
+/// Sends `request` once per value, with the value's text in place of
+/// the `@`, and expects an invalid_argument envelope for each.
+void expect_invalid_argument(ControlDispatcher& dispatcher,
+                             std::string_view request,
+                             std::initializer_list<std::string_view> values) {
+  for (const std::string_view value : values) {
+    std::string line(request);
+    line.replace(line.find('@'), 1, value);
+    const std::optional<Json> reply = parse_json(dispatcher.handle_line(line));
+    ASSERT_TRUE(reply.has_value()) << line;
+    EXPECT_FALSE(reply->bool_or("ok", true)) << line;
+    EXPECT_EQ(reply->string_or("code", ""), "invalid_argument") << line;
+  }
 }
 
 /// Value of one daemon-wide counter.
@@ -285,8 +301,8 @@ TEST(BoundedOpQueueTest, SpawnsAreNeverShedEvenOverCapacity) {
 TEST(WireJsonTest, EscapesAtStartMiddleAndEndOfLongRuns) {
   const std::string run(100000, 'a');
   const auto parse_str = [](const std::string& body) -> std::optional<std::string> {
-    const std::optional<JsonValue> value = parse_json("\"" + body + "\"");
-    if (!value.has_value() || value->kind != JsonValue::Kind::string) {
+    const std::optional<Json> value = parse_json("\"" + body + "\"");
+    if (!value.has_value() || !value->is_string()) {
       return std::nullopt;
     }
     return value->str;
@@ -811,7 +827,7 @@ TEST_F(DaemonTest, RepliesNestWellUnderTheJsonDepthCap) {
       "{\"type\":\"tenants\"}"};
   for (const std::string& request : requests) {
     const std::string reply = dispatcher.handle_line(request);
-    const std::optional<JsonValue> parsed = parse_json(reply);
+    const std::optional<Json> parsed = parse_json(reply);
     ASSERT_TRUE(parsed.has_value()) << request;
     EXPECT_TRUE(parsed->bool_or("ok", false)) << request;
     EXPECT_LE(nesting_depth(*parsed), kMaxJsonDepth / 8) << request;
@@ -910,6 +926,127 @@ TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+// Integer request fields take only integral numbers that fit their
+// type and lie within ±2^53; anything else is refused before any cast.
+
+TEST_F(DaemonTest, SpawnPidMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  ASSERT_TRUE(daemon.attach("t").is_ok());
+  expect_invalid_argument(dispatcher,
+                          "{\"type\":\"spawn\",\"tenant\":\"t\",\"pid\":@}",
+                          {"4294967297", "-1", "2.5", "1e300"});
+  EXPECT_EQ(dispatcher.handle_line(
+                "{\"type\":\"spawn\",\"tenant\":\"t\",\"pid\":4294967295}"),
+            "{\"ok\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, SpawnParentMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  ASSERT_TRUE(daemon.attach("t").is_ok());
+  expect_invalid_argument(
+      dispatcher, "{\"type\":\"spawn\",\"tenant\":\"t\",\"pid\":7,\"parent\":@}",
+      {"4294967296", "-3", "0.5", "-1e300"});
+  EXPECT_EQ(dispatcher.handle_line("{\"type\":\"spawn\",\"tenant\":\"t\","
+                                   "\"pid\":7,\"parent\":4294967295}"),
+            "{\"ok\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, ExplainPidMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  ASSERT_TRUE(daemon.attach("t").is_ok());
+  ASSERT_TRUE(daemon.spawn("t", 1, "one", 0).is_ok());
+  daemon.drain();
+  // 2^32 + 1 would wrap to pid 1 and answer for it.
+  expect_invalid_argument(dispatcher,
+                          "{\"type\":\"explain\",\"tenant\":\"t\",\"pid\":@}",
+                          {"4294967297", "1.5", "-1", "1e300"});
+  const std::optional<Json> one = parse_json(dispatcher.handle_line(
+      "{\"type\":\"explain\",\"tenant\":\"t\",\"pid\":1}"));
+  ASSERT_TRUE(one.has_value());
+  EXPECT_TRUE(one->bool_or("ok", false));
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, EventsCursorMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  // -1 would come back as a next_cursor of about 1.8e19.
+  expect_invalid_argument(dispatcher, "{\"type\":\"events\",\"cursor\":@}",
+                          {"-1", "0.5", "9007199254740994", "1e300"});
+  // The largest accepted cursor, 2^53, echoes back exactly.
+  const std::optional<Json> edge = parse_json(dispatcher.handle_line(
+      "{\"type\":\"events\",\"cursor\":9007199254740992}"));
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_TRUE(edge->bool_or("ok", false));
+  EXPECT_EQ(edge->number_or("next_cursor", 0), 9007199254740992.0);
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, EventsMaxMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  expect_invalid_argument(dispatcher, "{\"type\":\"events\",\"max\":@}",
+                          {"-1", "1.5", "1e300"});
+  ASSERT_TRUE(daemon.attach("t").is_ok());
+  const std::optional<Json> none = parse_json(
+      dispatcher.handle_line("{\"type\":\"events\",\"max\":0}"));
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->bool_or("ok", false));
+  EXPECT_TRUE(none->find("events")->items.empty());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, WatchCursorMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  // 1e300 would be acknowledged as cursor 0.
+  expect_invalid_argument(dispatcher, "{\"type\":\"watch\",\"cursor\":@}",
+                          {"1e300", "-1", "2.5", "9007199254740994"});
+  EXPECT_EQ(dispatcher.handle_line(
+                "{\"type\":\"watch\",\"cursor\":9007199254740992}"),
+            "{\"ok\":true,\"watch\":{\"cursor\":9007199254740992,"
+            "\"streaming\":false}}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, AttachScoreThresholdMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  expect_invalid_argument(
+      dispatcher,
+      "{\"type\":\"attach\",\"tenant\":\"t\",\"config\":{\"score_threshold\":@}}",
+      {"250.5", "2147483648", "1e300"});
+  EXPECT_TRUE(daemon.tenants().empty());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, AttachUnionThresholdMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  expect_invalid_argument(
+      dispatcher,
+      "{\"type\":\"attach\",\"tenant\":\"t\",\"config\":{\"union_threshold\":@}}",
+      {"100.5", "-2147483649", "1e300"});
+  EXPECT_TRUE(daemon.tenants().empty());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, AttachUnionBonusMustBeAnIntegerThatFits) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  expect_invalid_argument(
+      dispatcher,
+      "{\"type\":\"attach\",\"tenant\":\"t\",\"config\":{\"union_bonus\":@}}",
+      {"2.5", "2147483648", "-1e300"});
+  EXPECT_TRUE(daemon.tenants().empty());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   Daemon daemon(env->base_fs, small_options(1, 64));
   ControlDispatcher dispatcher(daemon);
@@ -922,15 +1059,15 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   dispatcher.handle_line("{\"type\":\"attach\",\"tenant\":\"b\"}");
   dispatcher.handle_line("{\"type\":\"detach\",\"tenant\":\"b\"}");
   const std::string all = dispatcher.handle_line("{\"type\":\"events\"}");
-  const std::optional<JsonValue> parsed = parse_json(all);
+  const std::optional<Json> parsed = parse_json(all);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->bool_or("ok", false));
-  const JsonValue* events = parsed->find("events");
+  const Json* events = parsed->find("events");
   ASSERT_NE(events, nullptr);
   // worker_start + attach a + attach b + detach b, cursor order.
   ASSERT_GE(events->items.size(), 4u);
   double last_cursor = -1.0;
-  for (const JsonValue& event : events->items) {
+  for (const Json& event : events->items) {
     EXPECT_GT(event.number_or("cursor", -1.0), last_cursor);
     last_cursor = event.number_or("cursor", -1.0);
   }
@@ -943,17 +1080,17 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   const std::string tail = dispatcher.handle_line(
       "{\"type\":\"events\",\"cursor\":" +
       std::to_string(static_cast<unsigned long long>(next_cursor)) + "}");
-  const std::optional<JsonValue> tail_parsed = parse_json(tail);
+  const std::optional<Json> tail_parsed = parse_json(tail);
   ASSERT_TRUE(tail_parsed.has_value());
   EXPECT_TRUE(tail_parsed->find("events")->items.empty());
   const std::string only_b = dispatcher.handle_line(
       "{\"type\":\"events\",\"tenant\":\"b\"}");
-  const std::optional<JsonValue> b_parsed = parse_json(only_b);
+  const std::optional<Json> b_parsed = parse_json(only_b);
   ASSERT_TRUE(b_parsed.has_value());
-  const JsonValue* b_events = b_parsed->find("events");
+  const Json* b_events = b_parsed->find("events");
   ASSERT_NE(b_events, nullptr);
   ASSERT_EQ(b_events->items.size(), 2u);  // attach b, detach b.
-  for (const JsonValue& event : b_events->items) {
+  for (const Json& event : b_events->items) {
     EXPECT_EQ(event.string_or("tenant", ""), "b");
   }
   daemon.shutdown(/*drain_first=*/true);
@@ -968,10 +1105,10 @@ TEST_F(DaemonTest, ControlHealthAndWatchAcknowledgements) {
     std::this_thread::yield();
   }
   const std::string health = dispatcher.handle_line("{\"type\":\"health\"}");
-  const std::optional<JsonValue> parsed = parse_json(health);
+  const std::optional<Json> parsed = parse_json(health);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->bool_or("ok", false));
-  const JsonValue* verdict = parsed->find("health");
+  const Json* verdict = parsed->find("health");
   ASSERT_NE(verdict, nullptr);
   EXPECT_EQ(verdict->string_or("level", ""), "ok");
   EXPECT_EQ(verdict->number_or("workers", 0.0), 2.0);
@@ -1172,7 +1309,7 @@ TEST_F(DaemonTest, OversizedRequestGetsEnvelopeThenEof) {
   ASSERT_TRUE(client.send_raw("x"));
   std::string reply;
   ASSERT_TRUE(client.read_line(&reply));
-  const std::optional<JsonValue> parsed = parse_json(reply);
+  const std::optional<Json> parsed = parse_json(reply);
   ASSERT_TRUE(parsed.has_value()) << reply;
   EXPECT_FALSE(parsed->bool_or("ok", true));
   EXPECT_EQ(parsed->string_or("code", ""), "invalid_argument");

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/ranked_mutex.hpp"
-#include "daemon/wire.hpp"
 #include "lint/graph.hpp"
 #include "lint/lint_rules.hpp"
 #include "lint/scan.hpp"
@@ -471,7 +471,7 @@ TEST(LintReport, RendersTheDocumentedSchema) {
   stats.suppressions_used = 4;
 
   const std::string text = lint::render_report_json(stats);
-  const auto doc = cryptodrop::daemon::parse_json(text);
+  const auto doc = cryptodrop::parse_json(text);
   ASSERT_TRUE(doc.has_value());
 
   EXPECT_EQ(doc->number_or("schema_version", 0), 1);
@@ -507,7 +507,7 @@ TEST(LintReport, RendersTheDocumentedSchema) {
 
 TEST(LintReport, EmptyStatsStillParse) {
   const auto doc =
-      cryptodrop::daemon::parse_json(lint::render_report_json({}));
+      cryptodrop::parse_json(lint::render_report_json({}));
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->number_or("schema_version", 0), 1);
   const auto* violations = doc->find("violations");

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -321,6 +323,33 @@ TEST(TraceExport, ValidatorRejectsBrokenTraces) {
                   {event("a", 'B', 1.0), event("b", 'B', 2.0),
                    event("b", 'E', 3.0), event("a", 'E', 4.0)})
                   .is_ok());
+}
+
+TEST(TraceExport, ParseRejectsNestingPastTheDepthCap) {
+  constexpr std::size_t kDepth = 100000;
+  const std::string deep = std::string(kDepth, '[') + std::string(kDepth, ']');
+  for (const std::string& text : {deep, "{\"traceEvents\":" + deep + "}"}) {
+    const Result<std::vector<TraceEvent>> parsed = parse_trace_events(text);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.code(), Errc::invalid_argument);
+  }
+}
+
+TEST(TraceExport, ParseTakesOnlyExactIntegerPidsAndTids) {
+  const auto trace = [](std::string_view pid, std::string_view tid) {
+    return "[{\"name\":\"a\",\"ph\":\"B\",\"ts\":1,\"pid\":" + std::string(pid) +
+           ",\"tid\":" + std::string(tid) + "}]";
+  };
+  const Result<std::vector<TraceEvent>> edge =
+      parse_trace_events(trace("9007199254740992", "-9007199254740992"));
+  ASSERT_TRUE(edge.is_ok()) << edge.status().to_string();
+  EXPECT_EQ(edge.value()[0].pid, std::int64_t{1} << 53);
+  EXPECT_EQ(edge.value()[0].tid, -(std::int64_t{1} << 53));
+  for (const auto& [pid, tid] : {std::pair{"1.5", "1"}, std::pair{"1", "1e300"},
+                                 std::pair{"9007199254740994", "1"}}) {
+    EXPECT_EQ(parse_trace_events(trace(pid, tid)).code(), Errc::invalid_argument)
+        << pid << " " << tid;
+  }
 }
 
 TEST(TraceExport, AnalyzeAttributesSelfTimeToStages) {

@@ -132,6 +132,17 @@ TEST(TraceFormat, MetadataOnlyOmitsPayload) {
   fs.detach_filter(&recorder);
 }
 
+/// Replays `entries` onto `fs` through one ExactReplayer; returns how
+/// many entries did not apply.
+std::size_t replay(FileSystem& fs, const std::vector<TraceEntry>& entries) {
+  ExactReplayer replayer(fs);
+  std::size_t not_applied = 0;
+  for (const TraceEntry& entry : entries) {
+    if (replayer.apply(entry) != ExactReplayer::Outcome::applied) ++not_applied;
+  }
+  return not_applied;
+}
+
 TEST(TraceReplay, ContentTraceReproducesTheVolume) {
   FileSystem fs;
   TraceRecorder recorder(true);
@@ -145,8 +156,7 @@ TEST(TraceReplay, ContentTraceReproducesTheVolume) {
   fs.detach_filter(&recorder);
 
   FileSystem replayed;
-  const ReplayResult result = replay_trace(replayed, recorder.entries());
-  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(replay(replayed, recorder.entries()), 0u);
   ASSERT_TRUE(replayed.exists("docs/final.txt"));
   ASSERT_TRUE(replayed.exists("docs/data.bin"));
   EXPECT_EQ(*replayed.read_unfiltered("docs/final.txt"),
@@ -166,28 +176,38 @@ TEST(TraceReplay, PreservesVirtualPacing) {
   fs.detach_filter(&recorder);
 
   FileSystem replayed;
-  (void)replay_trace(replayed, recorder.entries());
+  (void)replay(replayed, recorder.entries());
   EXPECT_GE(replayed.now_micros(), 5'000'000u);
 }
 
-TEST(TraceReplay, MetadataEntriesPastTheFileBoundFailInsteadOfAllocating) {
+TEST(TraceReplay, EntriesPastTheFileBoundFailInsteadOfAllocating) {
+  // ExactReplayer sizes a write by its payload, so the write that ends
+  // past the bound starts just short of it instead of carrying 2^40
+  // bytes.
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
   auto entry = [](OpType op, std::uint64_t offset, std::uint64_t length) {
     TraceEntry e;
     e.op = op;
     e.pid = 1;
     e.path = "a.bin";
+    e.handle = 1;
     e.offset = offset;
     e.length = length;
+    if (op == OpType::write) e.data.assign(static_cast<std::size_t>(length), 0x42);
     return e;
   };
+  TraceEntry open = entry(OpType::open, 0, 0);
+  open.open_mode = kWrite | kCreate;
   FileSystem fs;
-  const ReplayResult result = replay_trace(fs, {entry(OpType::write, 0, 4),
-                                                entry(OpType::write, 0, kHuge),
-                                                entry(OpType::write, kHuge, 4),
-                                                entry(OpType::truncate, 0, kHuge)});
-  EXPECT_EQ(result.applied, 1u);
-  EXPECT_EQ(result.failed, 3u);
+  ExactReplayer replayer(fs);
+  using Outcome = ExactReplayer::Outcome;
+  EXPECT_EQ(replayer.apply(open), Outcome::applied);
+  EXPECT_EQ(replayer.apply(entry(OpType::write, 0, 4)), Outcome::applied);
+  EXPECT_EQ(replayer.apply(entry(OpType::write, ExactReplayer::kMaxFileBytes - 2, 4)),
+            Outcome::failed);
+  EXPECT_EQ(replayer.apply(entry(OpType::write, kHuge, 4)), Outcome::failed);
+  EXPECT_EQ(replayer.apply(entry(OpType::truncate, 0, kHuge)), Outcome::failed);
+  EXPECT_EQ(replayer.apply(entry(OpType::close, 0, 0)), Outcome::applied);
   EXPECT_EQ(fs.read_unfiltered("a.bin")->size(), 4u);
 }
 
@@ -224,15 +244,22 @@ class TraceAnalysisTest : public ::testing::Test {
     return recorder.entries();
   }
 
-  /// Replays a trace into a fresh clone with the engine attached.
-  core::ProcessReport analyze_replay(const std::vector<TraceEntry>& trace) {
+  /// Replays a trace into a fresh clone with the engine attached. A
+  /// write without its payload (a metadata-only trace) replays as zeros
+  /// of the recorded length: all a content-free log can reconstruct.
+  core::ProcessReport analyze_replay(std::vector<TraceEntry> trace) {
+    for (TraceEntry& entry : trace) {
+      if (entry.op == OpType::write && entry.data.size() != entry.length) {
+        entry.data.assign(static_cast<std::size_t>(entry.length), 0);
+      }
+    }
     FileSystem fs = env->base_fs.clone();
     core::ScoringConfig config;
     config.score_threshold = 1000000;  // observe everything
     config.union_threshold = 1000000;
     core::AnalysisEngine engine(config);
     fs.attach_filter(&engine);
-    (void)replay_trace(fs, trace);
+    (void)replay(fs, trace);
     // All replayer pids map to one family-less process each; aggregate
     // the report of the busiest one.
     core::ProcessReport best;

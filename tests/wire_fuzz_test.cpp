@@ -1,11 +1,13 @@
-// Seeded mutation fuzzer for the cryptodropd wire layer (ctest label:
-// fuzz). Targets parse_json, vfs::parse_trace_entry, hex_decode and
+// Seeded mutation fuzzer for the cryptodropd wire layer and the span
+// trace reader (ctest label: fuzz). Targets parse_json,
+// obs::parse_trace_events, vfs::parse_trace_entry, hex_decode and
 // ControlDispatcher::handle_line on a live Daemon, starting from valid
-// attach, submit and verdicts lines and mutating them by bit flips,
-// insertions, truncation, splices and deep nesting. The seed and the
-// iteration counts are fixed, so every run replays the same inputs and
-// a failure reproduces from the test name alone. CI runs this binary
-// with the full suite under ASan and UBSan; `ctest -L fuzz` runs it alone.
+// attach, submit and verdicts lines and exported trace documents, and
+// mutating them by bit flips, insertions, truncation, splices and deep
+// nesting. The seed and the iteration counts are fixed, so every run
+// replays the same inputs and a failure reproduces from the test name
+// alone. CI runs this binary with the full suite under ASan and UBSan;
+// `ctest -L fuzz` runs it alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +22,8 @@
 #include "common/rng.hpp"
 #include "daemon/control.hpp"
 #include "daemon/daemon.hpp"
-#include "daemon/wire.hpp"
+#include "obs/span.hpp"
+#include "obs/trace_export.hpp"
 #include "vfs/filesystem.hpp"
 #include "vfs/trace.hpp"
 
@@ -165,16 +168,15 @@ std::string mutate(Rng& rng, std::string input,
   return input;
 }
 
-std::size_t nesting_depth(const JsonValue& value) {
+std::size_t nesting_depth(const Json& value) {
   std::size_t deepest = 0;
-  for (const JsonValue& item : value.items) {
+  for (const Json& item : value.items) {
     deepest = std::max(deepest, nesting_depth(item));
   }
   for (const auto& field : value.fields) {
     deepest = std::max(deepest, nesting_depth(field.second));
   }
-  const bool container = value.kind == JsonValue::Kind::array ||
-                         value.kind == JsonValue::Kind::object;
+  const bool container = value.is_array() || value.is_object();
   return deepest + (container ? 1 : 0);
 }
 
@@ -204,12 +206,80 @@ TEST(WireFuzz, ParseJsonAcceptsOnlyDocumentsWithinTheDepthCap) {
   for (int i = 0; i < kIterations; ++i) {
     const std::string input =
         mutate(rng, seeds[rng.uniform(0, seeds.size() - 1)], seeds);
-    const std::optional<JsonValue> value = parse_json(input);
+    const std::optional<Json> value = parse_json(input);
     if (!value.has_value()) continue;
     ++accepted;
     ASSERT_LE(nesting_depth(*value), kMaxJsonDepth) << i;
+    // The reader and the writer share one type, so whatever the reader
+    // accepts, the writer's output reads back and writes out unchanged.
+    const std::string written = value->to_string();
+    const std::optional<Json> again = parse_json(written);
+    ASSERT_TRUE(again.has_value()) << i << ": " << written;
+    ASSERT_EQ(again->to_string(), written) << i;
   }
   // Both outcomes must be exercised for the run to mean anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kIterations));
+}
+
+TEST(WireFuzz, TraceParserRejectsOrYieldsAnalyzableEvents) {
+  // Two ops on two threads: a write with its engine stages nested
+  // under it, then a close, carrying numeric and string args.
+  const auto span = [](std::uint64_t id, std::uint64_t parent, std::uint32_t tid,
+                       std::string_view name, std::uint64_t start_ns,
+                       std::uint64_t dur_ns) {
+    obs::SpanRecord record;
+    record.span_id = id;
+    record.parent_id = parent;
+    record.pid = 100;
+    record.tid = tid;
+    record.name = name;
+    record.start_ns = start_ns;
+    record.dur_ns = dur_ns;
+    return record;
+  };
+  obs::SpanSnapshot snapshot;
+  snapshot.spans = {span(1, 0, 0, obs::span_name::kDispatch, 1000, 9000),
+                    span(2, 1, 0, obs::span_name::kEntropy, 2000, 2500),
+                    span(3, 1, 0, obs::span_name::kScoreUpdate, 5000, 1500),
+                    span(4, 0, 1, obs::span_name::kDispatch, 1500, 4000)};
+  snapshot.spans[0].args = {{"op", false, 0.0, "write"}, {"path", false, 0.0, std::string(kDocument)}};
+  snapshot.spans[1].args = {{"bytes", true, 4096.0, ""}};
+  snapshot.spans[2].args = {{"indicator", false, 0.0, "entropy_delta"}};
+  snapshot.spans[3].args = {{"op", false, 0.0, "close"}};
+  snapshot.recorded = snapshot.spans.size();
+  obs::TraceExportOptions offsets;
+  offsets.pid_offset = 1000;
+  offsets.tid_offset = 7;
+  offsets.process_label = "trial \"7\"";
+  const std::vector<std::string> seeds = {
+      obs::to_trace_json(snapshot).to_string(),
+      obs::to_trace_json(snapshot, offsets).to_pretty_string()};
+  for (const std::string& seed : seeds) {
+    const Result<std::vector<obs::TraceEvent>> parsed = obs::parse_trace_events(seed);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    ASSERT_TRUE(obs::validate_trace_events(parsed.value()).is_ok());
+  }
+
+  Rng rng(kSeed + 5);
+  std::size_t accepted = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string input =
+        mutate(rng, seeds[rng.uniform(0, seeds.size() - 1)], seeds);
+    const Result<std::vector<obs::TraceEvent>> parsed = obs::parse_trace_events(input);
+    if (!parsed.is_ok()) {
+      ASSERT_EQ(parsed.code(), Errc::invalid_argument) << i;
+      continue;
+    }
+    ++accepted;
+    // Whatever parses, valid or not, folds into a report without
+    // tripping a sanitizer, counting only its B and E events.
+    (void)obs::validate_trace_events(parsed.value());
+    const obs::TraceReport report = obs::analyze_trace(parsed.value(), 3);
+    ASSERT_LE(report.events, parsed.value().size()) << i;
+    ASSERT_LE(report.slowest.size(), 3u) << i;
+    ASSERT_FALSE(obs::format_trace_report(report).empty()) << i;
+  }
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, static_cast<std::size_t>(kIterations));
 }
@@ -271,11 +341,11 @@ TEST(WireFuzz, DispatcherAnswersEveryMutatedLineWithAnEnvelope) {
     const std::string input =
         mutate(rng, seeds[rng.uniform(0, seeds.size() - 1)], seeds);
     const std::string reply = dispatcher.handle_line(input);
-    const std::optional<JsonValue> parsed = parse_json(reply);
+    const std::optional<Json> parsed = parse_json(reply);
     ASSERT_TRUE(parsed.has_value()) << i << ": " << reply;
-    const JsonValue* ok = parsed->find("ok");
+    const Json* ok = parsed->find("ok");
     ASSERT_NE(ok, nullptr) << i << ": " << reply;
-    ASSERT_EQ(ok->kind, JsonValue::Kind::boolean) << i << ": " << reply;
+    ASSERT_TRUE(ok->is_bool()) << i << ": " << reply;
   }
   daemon.shutdown(/*drain_first=*/true);
   EXPECT_TRUE(daemon.shutdown_complete());

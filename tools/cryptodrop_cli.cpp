@@ -52,9 +52,9 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "daemon/server.hpp"
-#include "daemon/wire.hpp"
 #include "obs/export_prom.hpp"
 #include "entropy/backend.hpp"
 #include "entropy/entropy.hpp"
@@ -480,7 +480,7 @@ int cmd_daemon(const Args& args) {
 
 /// Renders one `stats` watch frame as the `top` screen: health line,
 /// queue gauges, per-tenant table, then the most recent events.
-void render_top(const daemon::JsonValue& stats,
+void render_top(const Json& stats,
                 const std::deque<std::string>& events, bool plain,
                 std::size_t frame_number) {
   if (!plain) std::printf("\x1b[2J\x1b[H");
@@ -488,9 +488,8 @@ void render_top(const daemon::JsonValue& stats,
               frame_number, stats.string_or("health", "?").c_str(),
               stats.number_or("queue_depth", 0));
   harness::TextTable table({"Tenant", "Worker", "Ingested", "Executed", "Shed"});
-  if (const daemon::JsonValue* tenants = stats.find("tenants");
-      tenants != nullptr) {
-    for (const daemon::JsonValue& row : tenants->items) {
+  if (const Json* tenants = stats.find("tenants"); tenants != nullptr) {
+    for (const Json& row : tenants->items) {
       table.add_row({row.string_or("id", "?"),
                      std::to_string(static_cast<long long>(
                          row.number_or("worker", 0))),
@@ -565,8 +564,7 @@ int cmd_top(const Args& args) {
     }
     const std::string frame_line = buffer.substr(0, nl);
     buffer.erase(0, nl + 1);
-    const std::optional<daemon::JsonValue> parsed =
-        daemon::parse_json(frame_line);
+    const std::optional<Json> parsed = parse_json(frame_line);
     if (!parsed.has_value()) continue;
     if (!acked) {
       acked = true;
@@ -580,8 +578,7 @@ int cmd_top(const Args& args) {
     }
     const std::string kind = parsed->string_or("frame", "");
     if (kind == "event") {
-      if (const daemon::JsonValue* event = parsed->find("event");
-          event != nullptr) {
+      if (const Json* event = parsed->find("event"); event != nullptr) {
         recent.push_back("#" + std::to_string(static_cast<long long>(
                                    event->number_or("cursor", 0))) + " " +
                          event->string_or("kind", "?") + " tenant=" +
@@ -620,8 +617,10 @@ int cmd_daemon_replay(const Args& args) {
     return harness::Transport([client](const std::string& line) {
       const Result<std::string> response = client->request(line);
       if (response.is_ok()) return response.value();
-      return "{\"ok\":false,\"error\":\"transport: " +
-             response.status().to_string() + "\"}";
+      return Json::object()
+          .set("ok", false)
+          .set("error", "transport: " + response.status().to_string())
+          .to_string();
     });
   };
   std::fprintf(stderr, "replaying %zu trials over %s with %zu tenants...\n",

@@ -117,9 +117,9 @@ struct ReportStats {
   std::size_t suppressions_used = 0;
 };
 
-/// Renders ReportStats as the version-1 JSON document above (stable
-/// key order, no trailing whitespace) — the shape the golden schema
-/// test in tests/lint_test.cpp pins.
+/// Renders ReportStats as the version-1 JSON document above, pretty
+/// printed through common::Json in a stable key order — the shape the
+/// schema test in tests/lint_test.cpp pins.
 std::string render_report_json(const ReportStats& stats);
 
 }  // namespace cryptodrop::lint
