@@ -191,10 +191,12 @@ BENCHMARK(BM_UnmonitoredDirectoryOps)->Arg(0)->Arg(1)->ArgNames({"engine"});
 
 /// The paper's own methodology ("we traced our code while performing
 /// modifications to protected files"): run a realistic mixed workload
-/// and print the engine's internal per-callback cost per op type.
-/// Returns the same numbers as JSON for --perf-out, or nullopt when the
-/// close-path gate (close mean within 3x of write mean) is violated —
-/// the regression that motivated digest retention + cache routing.
+/// and print the engine's internal per-callback cost per op type, read
+/// from its `filter_dispatch_us.<op>` histograms. Returns the same
+/// numbers as JSON for --perf-out, or nullopt when the close-path gate
+/// (close mean within 3x of write mean) is violated — the regression
+/// that motivated digest retention + cache routing — or, in a metrics
+/// build, when the write or close histogram is empty.
 std::optional<Json> print_engine_internal_latency() {
   PerfFixture fx(/*with_engine=*/true);
   Rng rng(7);
@@ -239,41 +241,38 @@ std::optional<Json> print_engine_internal_latency() {
       (void)fx.fs.remove(fx.pid, victim);
     }
   }
-  const core::LatencyStats& stats = fx.engine->latency_stats();
-  std::printf("\n== engine-internal measurement cost per op (paper §V-H style) ==\n");
-  std::printf("%-10s %10s %14s %14s\n", "op", "count", "mean (us)", "max (us)");
-  const struct {
-    const char* name;
-    vfs::OpType op;
-  } kRows[] = {
-      {"open", vfs::OpType::open},     {"read", vfs::OpType::read},
-      {"write", vfs::OpType::write},   {"close", vfs::OpType::close},
-      {"rename", vfs::OpType::rename}, {"remove", vfs::OpType::remove},
+  const obs::MetricsSnapshot metrics = fx.engine->metrics_snapshot();
+  const auto dispatch = [&](vfs::OpType op) {
+    const obs::HistogramSnapshot* h =
+        metrics.histogram("filter_dispatch_us." + std::string(vfs::op_name(op)));
+    return h != nullptr ? *h : obs::HistogramSnapshot{};
   };
+  std::printf("\n== engine-internal measurement cost per op (paper §V-H style) ==\n");
+  std::printf("%-10s %10s %14s\n", "op", "count", "mean (us)");
   Json ops = Json::object();
-  for (const auto& row : kRows) {
-    const auto& bucket = stats.for_op(row.op);
-    std::printf("%-10s %10llu %14.1f %14.1f\n", row.name,
-                static_cast<unsigned long long>(bucket.count), bucket.mean_micros(),
-                static_cast<double>(bucket.max_ns) / 1000.0);
-    Json op = Json::object();
-    op.set("count", bucket.count);
-    op.set("mean_us", bucket.mean_micros());
-    op.set("max_us", static_cast<double>(bucket.max_ns) / 1000.0);
-    ops.set(row.name, std::move(op));
+  for (vfs::OpType op : {vfs::OpType::open, vfs::OpType::read, vfs::OpType::write,
+                         vfs::OpType::close, vfs::OpType::rename,
+                         vfs::OpType::remove}) {
+    const obs::HistogramSnapshot h = dispatch(op);
+    const std::string name(vfs::op_name(op));
+    std::printf("%-10s %10llu %14.1f\n", name.c_str(),
+                static_cast<unsigned long long>(h.count), h.mean());
+    Json row = Json::object();
+    row.set("count", h.count);
+    row.set("mean_us", h.mean());
+    ops.set(name, std::move(row));
   }
   std::printf("[paper's unoptimized prototype: open/read < 1 ms, close +1.58 ms,\n"
               " write +9 ms, rename +16 ms — write/rename/close carry the\n"
               " measurement, opens and reads are nearly free]\n");
 
-  // The same cost, stage by stage, from the observability layer: which
-  // part of the measurement (digest, entropy, type sniff) the per-op
-  // latency above is actually spent in.
-  const obs::MetricsSnapshot metrics = fx.engine->metrics_snapshot();
+  // The same cost, stage by stage: which part of the measurement
+  // (digest, entropy, type sniff) the per-op latency above is spent in.
   std::printf("\n== stage latency (obs histograms) ==\n");
   std::printf("%-34s %10s %14s\n", "stage", "samples", "mean (us)");
   Json stages = Json::object();
   for (const obs::HistogramSnapshot& h : metrics.histograms) {
+    if (h.name.rfind("stage_latency_us.", 0) != 0) continue;
     std::printf("%-34s %10llu %14.2f\n", h.name.c_str(),
                 static_cast<unsigned long long>(h.count), h.mean());
     Json stage = Json::object();
@@ -285,21 +284,34 @@ std::optional<Json> print_engine_internal_latency() {
   // re-measures a modified file; with digest retention + the shared
   // digest cache it must sit within 3x of the write mean (the perf
   // baseline shipped with a 12x outlier: 192.5us close vs 15.9us write).
-  const double write_mean = stats.for_op(vfs::OpType::write).mean_micros();
-  const double close_mean = stats.for_op(vfs::OpType::close).mean_micros();
-  const double ratio = write_mean > 0.0 ? close_mean / write_mean : 0.0;
-  std::printf("close/write mean ratio: %.2f (budget: <= 3.0)\n", ratio);
+  const obs::HistogramSnapshot write = dispatch(vfs::OpType::write);
+  const obs::HistogramSnapshot close = dispatch(vfs::OpType::close);
+  const double ratio = write.mean() > 0.0 ? close.mean() / write.mean() : 0.0;
 
   Json out = Json::object();
   out.set("per_op", std::move(ops));
   out.set("stage_self_time", std::move(stages));
   out.set("close_to_write_ratio", ratio);
+  if (!obs::kMetricsEnabled) {
+    std::printf("close/write gate skipped: metrics compiled out "
+                "(CRYPTODROP_NO_METRICS)\n");
+    return out;
+  }
+  if (write.count == 0 || close.count == 0) {
+    std::fprintf(stderr,
+                 "FAIL: the close/write gate has no samples (write %llu, "
+                 "close %llu) — the workload no longer reaches the engine\n",
+                 static_cast<unsigned long long>(write.count),
+                 static_cast<unsigned long long>(close.count));
+    return std::nullopt;
+  }
+  std::printf("close/write mean ratio: %.2f (budget: <= 3.0)\n", ratio);
   if (ratio > 3.0) {
     std::fprintf(stderr,
                  "FAIL: close mean %.1fus is %.2fx the write mean %.1fus "
                  "(budget: within 3x) — the close-path digest work is "
                  "being recomputed\n",
-                 close_mean, ratio, write_mean);
+                 close.mean(), ratio, write.mean());
     return std::nullopt;
   }
   return out;

@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -90,6 +91,11 @@ void Json::write(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::number: {
+      // JSON has no NaN or infinity: write them as null.
+      if (!std::isfinite(number_)) {
+        out += "null";
+        break;
+      }
       char buf[32];
       // Integers print without a fraction; others with %.10g. The range
       // test comes first, so the cast never sees a value past int64.
@@ -98,7 +104,13 @@ void Json::write(std::string& out, int indent, int depth) const {
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(number_));
       } else {
-        std::snprintf(buf, sizeof(buf), "%.10g", number_);
+        const int len = std::snprintf(buf, sizeof(buf), "%.10g", number_);
+        // Near DBL_MAX, rounding to 10 digits overflows to a value the
+        // reader rejects; 17 digits always read back finite.
+        double back = 0.0;
+        if (std::from_chars(buf, buf + len, back).ec != std::errc()) {
+          std::snprintf(buf, sizeof(buf), "%.17g", number_);
+        }
       }
       out += buf;
       break;

@@ -63,9 +63,6 @@ inline constexpr unsigned kFileTable = 20;
 /// Shared digest-cache shard; acquired under a file shard when a miss
 /// computes a digest mid-evaluation.
 inline constexpr unsigned kDigestCache = 30;
-/// Engine latency-stats accumulator (ScopedLatency destructor; runs
-/// after every per-op guard is released).
-inline constexpr unsigned kLatencyStats = 40;
 /// MetricsRegistry registration/snapshot lock (never on the op path).
 inline constexpr unsigned kMetricsRegistry = 50;
 /// Span-tracer shard ring; a span close under scoreboard/file locks

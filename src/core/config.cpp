@@ -95,12 +95,6 @@ Status ScoringConfig::validate() const {
     return invalid("dynamic_unavailable_boost < 0");
   }
 
-  if (record_timeline && timeline_capacity == 0) {
-    return invalid(
-        "timeline_capacity must be >= 1 while record_timeline is on "
-        "(set record_timeline = false to disable timelines instead)");
-  }
-
   if (funnel_min_read_types == 0) {
     return invalid("funnel_min_read_types must be >= 1");
   }

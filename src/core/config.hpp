@@ -180,13 +180,10 @@ struct ScoringConfig {
   bool enable_deletion = true;
   bool enable_funneling = true;
 
-  /// Keep per-process score-event timelines: the legacy ScoreEvent
-  /// vector (unbounded; Figure-6-style threshold sweeps) and the bounded
-  /// forensic ring behind AnalysisEngine::explain() — see
-  /// docs/OBSERVABILITY.md.
-  bool record_timeline = true;
-  /// Capacity of each process's forensic timeline ring (oldest events
-  /// are evicted beyond this). Must be >= 1 while record_timeline is on.
+  /// Capacity of each process's forensic timeline ring, the score
+  /// history behind AnalysisEngine::explain() and every ProcessReport
+  /// (docs/OBSERVABILITY.md). Oldest events are evicted beyond it; 0
+  /// turns recording off.
   std::size_t timeline_capacity = 128;
 
   /// Serve baseline similarity digests from the process-wide cache keyed

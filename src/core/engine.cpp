@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 
 #include "common/buffer_pool.hpp"
@@ -25,24 +24,6 @@ std::string_view indicator_name(Indicator ind) {
   return "?";
 }
 
-const LatencyStats::PerOp& LatencyStats::for_op(vfs::OpType op) const {
-  return const_cast<LatencyStats*>(this)->for_op(op);
-}
-
-LatencyStats::PerOp& LatencyStats::for_op(vfs::OpType op) {
-  switch (op) {
-    case vfs::OpType::open: return open;
-    case vfs::OpType::read: return read;
-    case vfs::OpType::write: return write;
-    case vfs::OpType::truncate: return truncate;
-    case vfs::OpType::close: return close;
-    case vfs::OpType::remove: return remove;
-    case vfs::OpType::rename: return rename;
-    case vfs::OpType::mkdir: return mkdir;
-  }
-  return mkdir;
-}
-
 const ProcessReport* EngineSnapshot::find(vfs::ProcessId pid) const {
   const auto it = std::lower_bound(
       processes.begin(), processes.end(), pid,
@@ -59,39 +40,6 @@ ProcessReport EngineSnapshot::report_for(vfs::ProcessId pid) const {
 }
 
 namespace {
-
-/// Accumulates the elapsed scope time into one LatencyStats bucket,
-/// serialized by the engine's latency mutex at scope exit. The same
-/// timestamps feed the lock-free dispatch histogram (if given) so the
-/// metrics layer adds no clock reads of its own to the dispatch path.
-class ScopedLatency {
- public:
-  ScopedLatency(LatencyStats& stats, LatencyMutex& mu, vfs::OpType op,
-                obs::Histogram* dispatch_hist = nullptr)
-      : stats_(stats), mu_(mu), op_(op), hist_(dispatch_hist),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatency() {
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-    if constexpr (obs::kMetricsEnabled) {
-      if (hist_ != nullptr) hist_->record(static_cast<double>(ns) / 1000.0);
-    }
-    std::lock_guard lock(mu_);
-    LatencyStats::PerOp& bucket = stats_.for_op(op_);
-    ++bucket.count;
-    bucket.total_ns += ns;
-    bucket.max_ns = std::max(bucket.max_ns, ns);
-  }
-
- private:
-  LatencyStats& stats_;
-  LatencyMutex& mu_;
-  vfs::OpType op_;
-  obs::Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Alerts raised while scoreboard locks are held are parked here and
 /// delivered after the locks are released (so a callback may query the
@@ -217,10 +165,16 @@ void AnalysisEngine::register_metrics() {
   h_magic_ = &metrics_.histogram(
       "stage_latency_us.magic_sniff",
       "Wall time identifying one buffer's file type", "microseconds", buckets);
-  h_dispatch_ = &metrics_.histogram(
-      "stage_latency_us.filter_dispatch",
-      "Wall time of one whole engine pre/post filter callback", "microseconds",
-      buckets);
+  // One dispatch histogram per op type: the engine's own per-op cost,
+  // the analogue of the paper's §V-H overhead table.
+  for (vfs::OpType op : vfs::kOpTypes) {
+    const std::string label(vfs::op_name(op));
+    h_dispatch_[static_cast<std::size_t>(op)] = &metrics_.histogram(
+        "filter_dispatch_us." + label,
+        "Wall time of one whole engine pre/post filter callback on a " +
+            label + " op",
+        "microseconds", buckets);
+  }
   h_close_measure_ = &metrics_.histogram(
       "stage_latency_us.close_measure",
       "Wall time of one measured close (content re-read, re-digest, "
@@ -292,8 +246,7 @@ AnalysisEngine::LockedProcess AnalysisEngine::lock_state_for(
   if (inserted) {
     it->second.name = event.process_name;
     it->second.threshold = config_.score_threshold;
-    it->second.forensic = obs::TimelineRing(
-        config_.record_timeline ? config_.timeline_capacity : 0);
+    it->second.forensic = obs::TimelineRing(config_.timeline_capacity);
     it->second.read_means.resize(entropy_members_.size());
     it->second.write_means.resize(entropy_members_.size());
   }
@@ -328,28 +281,7 @@ ProcessReport AnalysisEngine::process_report(vfs::ProcessId pid) const {
     report.threshold = config_.score_threshold;
     return report;
   }
-  const ProcessState& s = it->second;
-  ProcessReport report;
-  report.pid = pid;
-  report.name = s.name;
-  report.score = s.score;
-  report.threshold = s.threshold;
-  report.suspended = s.suspended;
-  report.union_triggered = s.union_triggered;
-  report.union_count = s.union_count;
-  report.entropy_events = s.entropy_events;
-  report.type_change_events = s.type_change_events;
-  report.similarity_drop_events = s.similarity_drop_events;
-  report.deletion_events = s.deletion_events;
-  report.funneling_events = s.funneling_events;
-  report.rate_events = s.rate_events;
-  if (!s.read_means.empty()) report.read_entropy_mean = s.read_means[0].mean();
-  if (!s.write_means.empty()) report.write_entropy_mean = s.write_means[0].mean();
-  report.read_extensions = s.read_extensions;
-  report.write_extensions = s.write_extensions;
-  report.timeline = s.timeline;
-  report.forensic = make_forensic(key, s);
-  return report;
+  return make_report(pid, key, it->second);
 }
 
 obs::ForensicTimeline AnalysisEngine::make_forensic(vfs::ProcessId key,
@@ -365,6 +297,30 @@ obs::ForensicTimeline AnalysisEngine::make_forensic(vfs::ProcessId key,
   timeline.events.assign(proc.forensic.events().begin(),
                          proc.forensic.events().end());
   return timeline;
+}
+
+ProcessReport AnalysisEngine::make_report(vfs::ProcessId pid, vfs::ProcessId key,
+                                          const ProcessState& proc) const {
+  ProcessReport report;
+  report.pid = pid;
+  report.name = proc.name;
+  report.score = proc.score;
+  report.threshold = proc.threshold;
+  report.suspended = proc.suspended;
+  report.union_triggered = proc.union_triggered;
+  report.union_count = proc.union_count;
+  report.entropy_events = proc.entropy_events;
+  report.type_change_events = proc.type_change_events;
+  report.similarity_drop_events = proc.similarity_drop_events;
+  report.deletion_events = proc.deletion_events;
+  report.funneling_events = proc.funneling_events;
+  report.rate_events = proc.rate_events;
+  if (!proc.read_means.empty()) report.read_entropy_mean = proc.read_means[0].mean();
+  if (!proc.write_means.empty()) report.write_entropy_mean = proc.write_means[0].mean();
+  report.read_extensions = proc.read_extensions;
+  report.write_extensions = proc.write_extensions;
+  report.forensic = make_forensic(key, proc);
+  return report;
 }
 
 obs::ForensicTimeline AnalysisEngine::explain(vfs::ProcessId pid) const {
@@ -426,49 +382,16 @@ EngineSnapshot AnalysisEngine::snapshot() const {
   snap.observed_ops = op_seq_.load(std::memory_order_relaxed);
   for (const ScoreboardShard& shard : scoreboard_shards_) {
     for (const auto& [key, s] : shard.states) {
-      ProcessReport report;
-      report.pid = key;
-      report.name = s.name;
-      report.score = s.score;
-      report.threshold = s.threshold;
-      report.suspended = s.suspended;
-      report.union_triggered = s.union_triggered;
-      report.union_count = s.union_count;
-      report.entropy_events = s.entropy_events;
-      report.type_change_events = s.type_change_events;
-      report.similarity_drop_events = s.similarity_drop_events;
-      report.deletion_events = s.deletion_events;
-      report.funneling_events = s.funneling_events;
-      report.rate_events = s.rate_events;
-      if (!s.read_means.empty()) {
-        report.read_entropy_mean = s.read_means[0].mean();
-      }
-      if (!s.write_means.empty()) {
-        report.write_entropy_mean = s.write_means[0].mean();
-      }
-      report.read_extensions = s.read_extensions;
-      report.write_extensions = s.write_extensions;
-      report.timeline = s.timeline;
-      report.forensic = make_forensic(key, s);
-      snap.processes.push_back(std::move(report));
+      snap.processes.push_back(make_report(key, key, s));
     }
   }
   for (std::size_t i = kScoreboardShards; i > 0; --i) locks[i - 1].unlock();
 
   std::sort(snap.processes.begin(), snap.processes.end(),
             [](const ProcessReport& a, const ProcessReport& b) { return a.pid < b.pid; });
-  {
-    std::lock_guard lock(latency_mu_);
-    snap.latency = latency_;
-  }
   refresh_gauges(snap.processes.size());
   snap.metrics = metrics_.snapshot();
   return snap;
-}
-
-LatencyStats AnalysisEngine::latency_stats() const {
-  std::lock_guard lock(latency_mu_);
-  return latency_;
 }
 
 void AnalysisEngine::resume_process(vfs::ProcessId pid) {
@@ -516,22 +439,19 @@ void AnalysisEngine::add_points(ProcessState& proc, vfs::ProcessId pid,
   const auto idx = static_cast<std::size_t>(indicator);
   m_indicator_events_[idx]->add();
   m_indicator_points_[idx]->add(static_cast<std::uint64_t>(std::max(points, 0)));
-  if (config_.record_timeline) {
-    const std::uint64_t op_seq = op_seq_.load(std::memory_order_relaxed);
-    proc.timeline.push_back(
-        ScoreEvent{op_seq, indicator, points, path, std::move(backend)});
-    obs::TimelineEvent event;
-    event.op_seq = op_seq;
-    event.kind = timeline_kind(indicator);
-    event.points = points;
-    event.score_before = score_before;
-    event.score_after = proc.score;
-    event.path = path;
-    event.detail = detail;
-    event.note = std::move(note);
-    proc.forensic.push(std::move(event));
-  }
   (void)pid;
+  if (proc.forensic.capacity() == 0) return;  // recording off: build nothing
+  obs::TimelineEvent event;
+  event.op_seq = op_seq_.load(std::memory_order_relaxed);
+  event.kind = timeline_kind(indicator);
+  event.points = points;
+  event.score_before = score_before;
+  event.score_after = proc.score;
+  event.path = path;
+  event.detail = detail;
+  event.note = std::move(note);
+  event.backend = std::move(backend);
+  proc.forensic.push(std::move(event));
 }
 
 void AnalysisEngine::check_union(ProcessState& proc, vfs::ProcessId pid,
@@ -796,7 +716,7 @@ vfs::Verdict AnalysisEngine::pre_operation(const vfs::OperationEvent& event) {
       event.op == vfs::OpType::rename && under_root(event.dest_path);
   if (!src_protected && !dst_protected) return vfs::Verdict::allow;
 
-  ScopedLatency timer(latency_, latency_mu_, event.op, h_dispatch_);
+  obs::ScopedTimer timer(h_dispatch_[static_cast<std::size_t>(event.op)]);
   op_seq_.fetch_add(1, std::memory_order_relaxed);
   m_ops_observed_->add();
   switch (event.op) {
@@ -835,7 +755,7 @@ void AnalysisEngine::post_operation(const vfs::OperationEvent& event,
   if (!src_protected && !dst_protected) return;
 
   AlertScope alerts(alert_callback_);
-  ScopedLatency timer(latency_, latency_mu_, event.op, h_dispatch_);
+  obs::ScopedTimer timer(h_dispatch_[static_cast<std::size_t>(event.op)]);
   switch (event.op) {
     case vfs::OpType::read:
       handle_read_post(event);

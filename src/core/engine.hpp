@@ -58,8 +58,6 @@ namespace cryptodrop::core {
 using ScoreboardMutex = common::RankedMutex<common::lockrank::kScoreboardShard>;
 /// File-baseline-shard mutex: rank 20 (acquired under a scoreboard shard).
 using FileTableMutex = common::RankedMutex<common::lockrank::kFileTable>;
-/// Latency-stats mutex: rank 40 (taken with no other engine lock held).
-using LatencyMutex = common::RankedMutex<common::lockrank::kLatencyStats>;
 
 /// Which indicator produced a score event.
 enum class Indicator : std::uint8_t {
@@ -75,18 +73,6 @@ enum class Indicator : std::uint8_t {
 /// Stable lowercase label for an indicator ("entropy_delta", "union", ...)
 /// — used in reports, metric names, and forensic-timeline JSON.
 std::string_view indicator_name(Indicator ind);
-
-/// One reputation-score increment.
-struct ScoreEvent {
-  std::uint64_t op_seq;  ///< Engine-observed operation sequence number.
-  Indicator indicator;
-  int points;
-  std::string path;  ///< File the event concerns (empty for funneling/union).
-  /// For entropy_delta events: which backend(s) voted, comma-joined in
-  /// schema order ("shannon", "chi_square,daa"). Empty for every other
-  /// indicator.
-  std::string backend;
-};
 
 /// Point-in-time view of one process's reputation (returned by
 /// process_report() and inside EngineSnapshot).
@@ -114,42 +100,16 @@ struct ProcessReport {
   std::set<std::string> read_extensions;   ///< Extensions read under the root.
   std::set<std::string> write_extensions;  ///< Extensions written under the root.
 
-  std::vector<ScoreEvent> timeline;  ///< Present when config.record_timeline.
-
-  /// Bounded forensic event history (docs/OBSERVABILITY.md): the same
-  /// score changes as `timeline` but with score-before/after and
-  /// indicator detail, plus suspension/resume verdict events.
+  /// The process's score history (docs/OBSERVABILITY.md): every score
+  /// change with score-before/after and indicator detail, plus
+  /// suspension/resume verdict events, bounded by
+  /// config.timeline_capacity.
   obs::ForensicTimeline forensic;
 };
 
-/// Wall-clock cost of the engine's own measurement work, per operation
-/// type — the analogue of §V-H, where the authors traced their driver
-/// and reported the added latency per operation (open/read < 1 ms,
-/// close 1.58 ms, write 9 ms, rename 16 ms on their prototype).
-struct LatencyStats {
-  /// Accumulated callback cost for one operation type.
-  struct PerOp {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-    /// Mean callback cost in microseconds (0 when no samples).
-    [[nodiscard]] double mean_micros() const {
-      return count == 0 ? 0.0
-                        : static_cast<double>(total_ns) / 1000.0 /
-                              static_cast<double>(count);
-    }
-  };
-  PerOp open, read, write, truncate, close, remove, rename, mkdir;
-
-  /// The accumulator for `op` (every OpType maps to exactly one field).
-  [[nodiscard]] const PerOp& for_op(vfs::OpType op) const;
-  /// Mutable variant of for_op().
-  PerOp& for_op(vfs::OpType op);
-};
-
 /// One consistent view of everything the engine has measured: every
-/// process report, the operation count, and the latency breakdown, all
-/// captured atomically (no operation is half-reflected across entries).
+/// process report and the operation count, captured atomically (no
+/// operation is half-reflected across entries), plus the metrics.
 /// This replaced the racy pid-list + N× process_report() query dance
 /// (the old observed_processes() API, now removed).
 struct EngineSnapshot {
@@ -157,8 +117,7 @@ struct EngineSnapshot {
   /// when family scoring is enabled).
   std::vector<ProcessReport> processes;
   std::uint64_t observed_ops = 0;
-  LatencyStats latency;
-  /// Every engine metric (counters, gauges, stage-latency histograms),
+  /// Every engine metric (counters, gauges, latency histograms),
   /// merged across write shards at capture time — the machine-readable
   /// side of this snapshot (obs::to_json serializes it).
   obs::MetricsSnapshot metrics;
@@ -227,8 +186,8 @@ class AnalysisEngine : public vfs::Filter {
   /// Point-in-time report for one process (empty report with the default
   /// threshold when `pid` was never scored). Thread-safe.
   [[nodiscard]] ProcessReport process_report(vfs::ProcessId pid) const;
-  /// Atomically captures every process report, the observed-op count and
-  /// the latency stats under one (stop-the-world) lock acquisition.
+  /// Atomically captures every process report and the observed-op count
+  /// under one (stop-the-world) lock acquisition, then the metrics.
   [[nodiscard]] EngineSnapshot snapshot() const;
   /// "Why was pid X suspended?" — the bounded forensic event history of
   /// `pid`'s scoreboard entry (score deltas with before/after values,
@@ -239,15 +198,14 @@ class AnalysisEngine : public vfs::Filter {
   /// Current value of every engine metric, merged across write shards.
   /// Thread-safe; may run concurrently with operations (counters already
   /// incremented are visible, in-flight ones may not be). Gauges are
-  /// refreshed (shard walk) as part of the call.
+  /// refreshed (shard walk) as part of the call. The per-op cost of the
+  /// engine's own callbacks (the §V-H analogue) is the
+  /// `filter_dispatch_us.<op_type>` histogram family.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
   /// Total operations the engine observed under the protected root.
   [[nodiscard]] std::uint64_t observed_ops() const {
     return op_seq_.load(std::memory_order_relaxed);
   }
-  /// Per-op-type cost of the engine's own callbacks (§V-H analogue).
-  /// Returned by value: the engine's internal stats are lock-guarded.
-  [[nodiscard]] LatencyStats latency_stats() const;
 
   // --- user decisions ------------------------------------------------------
   /// The user chose to let the flagged process continue: clears the
@@ -294,7 +252,6 @@ class AnalysisEngine : public vfs::Filter {
     std::set<std::string> read_extensions;
     std::set<std::string> write_extensions;
 
-    std::vector<ScoreEvent> timeline;
     /// Bounded forensic ring (capacity fixed at entry creation from
     /// config.timeline_capacity; 0 = recording disabled). Mutated only
     /// under this entry's shard lock, so it needs no atomics of its own.
@@ -351,9 +308,10 @@ class AnalysisEngine : public vfs::Filter {
   LockedProcess lock_state_for(const vfs::OperationEvent& event);
 
   /// Adds `points` to `proc`, bumps the per-indicator metrics, and (when
-  /// timelines are on) appends both the legacy ScoreEvent and a forensic
-  /// TimelineEvent. `detail` is the indicator's measured magnitude
-  /// (entropy delta, similarity score, ...); `note` is free-form context.
+  /// the forensic ring has capacity) appends a TimelineEvent. `detail` is
+  /// the indicator's measured magnitude (entropy delta, similarity
+  /// score, ...); `note` is free-form context; `backend` names the
+  /// entropy voters.
   void add_points(ProcessState& proc, vfs::ProcessId pid, Indicator indicator,
                   int points, const std::string& path, double detail = 0.0,
                   std::string note = {}, std::string backend = {});
@@ -399,6 +357,11 @@ class AnalysisEngine : public vfs::Filter {
   /// timeline. Call with `key`'s shard lock held.
   [[nodiscard]] obs::ForensicTimeline make_forensic(vfs::ProcessId key,
                                                     const ProcessState& proc) const;
+  /// Builds the report for scoreboard entry `key`, labelled `pid` (the
+  /// queried pid, which differs from `key` for a child under family
+  /// scoring). Call with `key`'s shard lock held.
+  [[nodiscard]] ProcessReport make_report(vfs::ProcessId pid, vfs::ProcessId key,
+                                          const ProcessState& proc) const;
   /// magic::identify wrapped in the magic_sniff stage timer.
   [[nodiscard]] magic::TypeId sniff_type(ByteView data) const;
 
@@ -430,8 +393,6 @@ class AnalysisEngine : public vfs::Filter {
   mutable std::array<FileShard, kFileShards> file_shards_;
   std::function<void(const Alert&)> alert_callback_;
   std::atomic<std::uint64_t> op_seq_{0};
-  LatencyStats latency_;
-  mutable LatencyMutex latency_mu_;
 
   // --- observability (docs/OBSERVABILITY.md) ----------------------------
   // The registry owns the instruments; the pointers below are stable
@@ -450,7 +411,8 @@ class AnalysisEngine : public vfs::Filter {
   obs::Histogram* h_sdhash_ = nullptr;
   obs::Histogram* h_entropy_ = nullptr;
   obs::Histogram* h_magic_ = nullptr;
-  obs::Histogram* h_dispatch_ = nullptr;
+  /// `filter_dispatch_us.<op_type>`, indexed by vfs::OpType.
+  std::array<obs::Histogram*, vfs::kOpTypes.size()> h_dispatch_{};
   obs::Histogram* h_close_measure_ = nullptr;
   obs::Gauge* g_processes_ = nullptr;
   obs::Gauge* g_files_ = nullptr;

@@ -18,17 +18,6 @@ Json report_to_json(const core::ProcessReport& report) {
   Json write_ext = Json::array();
   for (const std::string& ext : report.write_extensions) write_ext.push(ext);
 
-  Json timeline = Json::array();
-  for (const core::ScoreEvent& event : report.timeline) {
-    Json e = Json::object();
-    e.set("op_seq", event.op_seq)
-        .set("indicator", std::string(core::indicator_name(event.indicator)))
-        .set("points", event.points)
-        .set("path", event.path);
-    if (!event.backend.empty()) e.set("backend", event.backend);
-    timeline.push(std::move(e));
-  }
-
   Json j = Json::object();
   j.set("pid", report.pid)
       .set("name", report.name)
@@ -42,7 +31,6 @@ Json report_to_json(const core::ProcessReport& report) {
       .set("indicators", std::move(indicators))
       .set("read_extensions", std::move(read_ext))
       .set("write_extensions", std::move(write_ext))
-      .set("timeline", std::move(timeline))
       .set("forensic", obs::to_json(report.forensic));
   return j;
 }

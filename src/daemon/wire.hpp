@@ -21,12 +21,12 @@ using JsonValue = Json;
 using cryptodrop::parse_json;
 
 /// Serializes one process report — score, verdict, indicator counts,
-/// entropy means, extension sets, score timeline and forensic timeline —
-/// the "per-tenant scoreboard" unit of the daemon parity gate.
+/// entropy means, extension sets and the forensic score history — the
+/// "per-tenant scoreboard" unit of the daemon parity gate.
 Json report_to_json(const core::ProcessReport& report);
 
 /// Serializes the scoreboard half of an engine snapshot: the report
-/// list plus the default threshold. Latency and metrics are excluded:
+/// list plus the default threshold. Metrics are excluded:
 /// they carry wall-clock measurements outside the determinism contract.
 Json scoreboard_to_json(const core::EngineSnapshot& snapshot);
 

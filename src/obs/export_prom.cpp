@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -12,12 +13,16 @@ namespace cryptodrop::obs {
 namespace {
 
 /// Formats a double the way the exposition format expects: integral
-/// values print without a fraction ("42"), everything else with enough
+/// values print without a fraction ("42"), non-finite ones as the
+/// format's "+Inf", "-Inf" and "NaN" tokens, everything else with enough
 /// digits to round-trip a bucket bound or sum ("2.5", "0.0000001").
 std::string format_number(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buffer[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v < 1e15 && v > -1e15) {
+  // The range test comes first, so the cast never sees a value past
+  // long long.
+  if (v < 1e15 && v > -1e15 && v == std::trunc(v)) {
     std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buffer, sizeof(buffer), "%.10g", v);

@@ -15,11 +15,11 @@ std::vector<std::string_view> known_metric_names() {
       "indicator_events_total.<indicator>",
       "points_assessed_total.<indicator>",
       "entropy_backend_events_total.<entropy_backend>",
-      // engine stage-latency histograms
+      // engine stage-latency and per-op dispatch histograms
       "stage_latency_us.sdhash_digest",
       "stage_latency_us.entropy",
       "stage_latency_us.magic_sniff",
-      "stage_latency_us.filter_dispatch",
+      "filter_dispatch_us.<op_type>",
       "stage_latency_us.close_measure",
       // engine gauges
       "processes_tracked",
@@ -60,7 +60,8 @@ std::vector<std::string_view> known_metric_names() {
 
 std::vector<std::string_view> known_placeholder_labels(
     std::string_view placeholder) {
-  // Mirrors core::indicator_name() / vfs::fault_kind_name(); docs_check
+  // Mirrors core::indicator_name() / vfs::fault_kind_name() /
+  // vfs::op_name() and the entropy and daemon enums; docs_check
   // cross-checks these lists against the real enums every run, so a new
   // indicator or fault kind cannot land without updating this file.
   if (placeholder == "<indicator>") {
@@ -75,6 +76,10 @@ std::vector<std::string_view> known_placeholder_labels(
   }
   if (placeholder == "<shed_reason>") {
     return {"benign_read", "queue_full", "tenant_gone", "shutdown"};
+  }
+  if (placeholder == "<op_type>") {
+    return {"open",  "read",   "write",  "truncate",
+            "close", "remove", "rename", "mkdir"};
   }
   return {};
 }

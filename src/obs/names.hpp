@@ -31,9 +31,10 @@ std::vector<std::string_view> known_metric_names();
 /// The label set a placeholder expands to: "<indicator>" yields the
 /// seven indicator labels, "<fault>" the four fault kinds,
 /// "<entropy_backend>" the four entropy backends, "<shed_reason>" the
-/// four daemon admission-control shed reasons. Unknown placeholders
-/// yield an empty list. docs_check asserts these lists match the
-/// core/vfs/entropy/daemon enums they mirror.
+/// four daemon admission-control shed reasons, "<op_type>" the eight
+/// vfs operation types. Unknown placeholders yield an empty list.
+/// docs_check asserts these lists match the core/vfs/entropy/daemon
+/// enums they mirror.
 std::vector<std::string_view> known_placeholder_labels(
     std::string_view placeholder);
 

@@ -37,6 +37,7 @@ Json to_json(const ForensicTimeline& timeline) {
         .set("path", ev.path)
         .set("detail", ev.detail)
         .set("note", ev.note);
+    if (!ev.backend.empty()) entry.set("backend", ev.backend);
     events.push(std::move(entry));
   }
 

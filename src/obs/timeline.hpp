@@ -10,10 +10,11 @@
 // returns the ring's contents; obs::to_json serializes them in the
 // format documented in docs/OBSERVABILITY.md.
 //
-// The ring is bounded (ScoringConfig::timeline_capacity) so a long-lived
-// benign process cannot grow memory without bound: when full, the oldest
-// event is evicted and `dropped()` counts it. Event sequence numbers are
-// per-process and survive eviction, so gaps are visible.
+// The ring is the engine's one per-process score history. It is bounded
+// (ScoringConfig::timeline_capacity; 0 turns recording off) so a
+// long-lived process cannot grow memory without bound: when full, the
+// oldest event is evicted and `dropped()` counts it. Event sequence
+// numbers are per-process and survive eviction, so gaps are visible.
 //
 // Thread-safety: a TimelineRing is plain data. The engine stores one per
 // scoreboard entry and only touches it under that entry's shard lock.
@@ -63,6 +64,10 @@ struct TimelineEvent {
   /// Free-form annotation (e.g. "pdf -> high-entropy data" on a
   /// type-change, "via union" on a suspension). May be empty.
   std::string note;
+  /// Entropy events only: the backends whose delta vote fired,
+  /// comma-joined in schema order ("shannon", "chi_square,daa").
+  /// Empty for every other kind, and then left out of the JSON.
+  std::string backend;
 };
 
 /// Fixed-capacity ring of TimelineEvents; push() evicts the oldest once

@@ -10,6 +10,7 @@
 // not matter for CryptoDrop.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -46,6 +47,11 @@ enum class OpType : std::uint8_t {
   rename,
   mkdir,
 };
+
+/// Every OpType, in declaration order.
+inline constexpr std::array<OpType, 8> kOpTypes = {
+    OpType::open,   OpType::read,   OpType::write,  OpType::truncate,
+    OpType::close,  OpType::remove, OpType::rename, OpType::mkdir};
 
 /// One filesystem operation as seen by the filter stack.
 ///

@@ -71,8 +71,7 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
 }
 
 std::optional<OpType> op_from_name(std::string_view name) {
-  for (OpType op : {OpType::open, OpType::read, OpType::write, OpType::truncate,
-                    OpType::close, OpType::remove, OpType::rename, OpType::mkdir}) {
+  for (OpType op : kOpTypes) {
     if (op_name(op) == name) return op;
   }
   return std::nullopt;

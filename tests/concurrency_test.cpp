@@ -83,7 +83,7 @@ ScoringConfig stress_config() {
   config.enable_family_scoring = false;  // no FileSystem attached
   config.score_threshold = 1'000'000;
   config.union_threshold = 1'000'000;
-  config.record_timeline = false;  // op_seq interleaving is schedule-dependent
+  config.timeline_capacity = 0;  // op_seq interleaving is schedule-dependent
   return config;
 }
 
@@ -174,7 +174,9 @@ TEST(EngineConcurrency, SnapshotsAreInternallyConsistentUnderLoad) {
   constexpr std::size_t kRemoves = 300;
 
   ScoringConfig config = stress_config();
-  config.record_timeline = true;  // per-pid timeline: schedule-independent sums
+  // Per-pid timelines give schedule-independent sums; room for every
+  // remove, so no event is evicted and the sums stay exact.
+  config.timeline_capacity = kRemoves + 1;
   AnalysisEngine engine(config);
 
   std::atomic<bool> stop{false};
@@ -200,9 +202,10 @@ TEST(EngineConcurrency, SnapshotsAreInternallyConsistentUnderLoad) {
       for (const ProcessReport& report : snap.processes) {
         // A torn read would break score == sum(timeline points).
         int total = 0;
-        for (const ScoreEvent& ev : report.timeline) total += ev.points;
+        for (const obs::TimelineEvent& ev : report.forensic.events) total += ev.points;
         EXPECT_EQ(report.score, total) << "pid " << report.pid;
-        EXPECT_EQ(report.deletion_events, report.timeline.size());
+        EXPECT_EQ(report.deletion_events, report.forensic.events_recorded);
+        EXPECT_EQ(report.forensic.events_dropped, 0u);
       }
     }
   });

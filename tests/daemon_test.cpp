@@ -835,6 +835,44 @@ TEST_F(DaemonTest, RepliesNestWellUnderTheJsonDepthCap) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+TEST_F(DaemonTest, VerdictsOfAnEvictedRingShowEventsDroppedAndEndWithTheVerdict) {
+  // The bounded forensic ring is the one score history a verdicts reply
+  // carries. A process whose ring evicted events says so, and its
+  // suspension verdict survives the eviction.
+  const Recorded recorded = record_sample(encryptor_spec());
+  ASSERT_TRUE(recorded.result.detected);
+  Daemon daemon(env->base_fs, small_options(1, 4096));
+  ControlDispatcher dispatcher(daemon);
+  core::ScoringConfig config = daemon.default_config();
+  config.timeline_capacity = 4;
+  ASSERT_TRUE(daemon.attach("ring", config).is_ok());
+  send_spawns(daemon, "ring", recorded.result);
+  ASSERT_TRUE(daemon.submit("ring", recorded.entries).is_ok());
+  daemon.drain();
+  const std::optional<Json> reply = parse_json(
+      dispatcher.handle_line("{\"type\":\"verdicts\",\"tenant\":\"ring\"}"));
+  ASSERT_TRUE(reply.has_value());
+  const Json* scoreboard = reply->find("scoreboard");
+  ASSERT_NE(scoreboard, nullptr);
+  const Json* processes = scoreboard->find("processes");
+  ASSERT_NE(processes, nullptr);
+  std::size_t suspended = 0;
+  for (const Json& process : processes->items) {
+    EXPECT_EQ(process.find("timeline"), nullptr);
+    if (!process.bool_or("suspended", false)) continue;
+    ++suspended;
+    const Json* forensic = process.find("forensic");
+    ASSERT_NE(forensic, nullptr);
+    EXPECT_GT(forensic->number_or("events_dropped", 0.0), 0.0);
+    const Json* events = forensic->find("events");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->size(), 4u);
+    EXPECT_EQ(events->items.back().string_or("kind", ""), "suspension");
+  }
+  EXPECT_EQ(suspended, 1u);
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 TEST_F(DaemonTest, AttachConfigOverridesApply) {
   Daemon daemon(env->base_fs, small_options(2, 64));
   ControlDispatcher dispatcher(daemon);
@@ -1499,7 +1537,9 @@ TEST_F(DaemonTest, IdleConnectionsAreEvictedButWatchersAreExempt) {
       evicted = counter.value;
     }
   }
-  if (obs::kMetricsEnabled) EXPECT_EQ(evicted, 1u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(evicted, 1u);
+  }
   // The watcher outlived the deadline without sending anything further:
   // watch streams are write-mostly and exempt from the idle reaper.
   EXPECT_TRUE(watcher.read_line(&line)) << "watcher was evicted";

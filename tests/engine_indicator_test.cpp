@@ -6,6 +6,7 @@
 #include "common/text.hpp"
 #include "core/engine.hpp"
 #include "crypto/chacha20.hpp"
+#include "daemon/wire.hpp"
 #include "vfs/filesystem.hpp"
 
 namespace cryptodrop::core {
@@ -412,8 +413,8 @@ TEST_F(EngineTest, UnionBonusAppliedOnlyOnce) {
     const std::string path = doc("v" + std::to_string(i) + ".txt");
     subject_overwrites(path, encrypted_copy(path));
   }
-  for (const ScoreEvent& ev : engine->process_report(pid).timeline) {
-    if (ev.indicator == Indicator::union_indication) ++union_events;
+  for (const obs::TimelineEvent& ev : engine->process_report(pid).forensic.events) {
+    if (ev.kind == obs::TimelineEventKind::union_indication) ++union_events;
   }
   EXPECT_EQ(union_events, 1);
 }
@@ -457,20 +458,71 @@ TEST_F(EngineTest, TimelineRecordsIndicatorsInOrder) {
   subject_reads(doc("a.txt"));
   subject_writes(doc("x.bin"), rng.bytes(20000));  // entropy
   ASSERT_TRUE(fs.remove(pid, doc("a.txt")).is_ok());  // deletion
-  const ProcessReport report = engine->process_report(pid);
-  ASSERT_GE(report.timeline.size(), 2u);
-  EXPECT_EQ(report.timeline[0].indicator, Indicator::entropy_delta);
-  EXPECT_EQ(report.timeline.back().indicator, Indicator::deletion);
-  EXPECT_LE(report.timeline[0].op_seq, report.timeline.back().op_seq);
+  const std::vector<obs::TimelineEvent>& events =
+      engine->process_report(pid).forensic.events;
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::TimelineEventKind::entropy_delta);
+  EXPECT_EQ(events.back().kind, obs::TimelineEventKind::deletion);
+  EXPECT_LE(events[0].op_seq, events.back().op_seq);
 }
 
 TEST_F(EngineTest, TimelineDisabledWhenNotRecorded) {
-  config.record_timeline = false;
+  config.timeline_capacity = 0;
   attach();
   put_prose(doc("a.txt"), 1000);
   ASSERT_TRUE(fs.remove(pid, doc("a.txt")).is_ok());
   EXPECT_GT(engine->score(pid), 0);
-  EXPECT_TRUE(engine->process_report(pid).timeline.empty());
+  EXPECT_TRUE(engine->process_report(pid).forensic.events.empty());
+}
+
+TEST_F(EngineTest, SnapshotAndProcessReportAgree) {
+  attach();
+  const vfs::ProcessId child = fs.register_process("worker", pid);
+  put_prose(doc("a.txt"), 20000);
+  put_prose(doc("b.txt"), 20000);
+  subject_reads(doc("a.txt"));
+  subject_overwrites(doc("b.txt"), encrypted_copy(doc("b.txt")));
+  ASSERT_TRUE(fs.remove(child, doc("a.txt")).is_ok());
+
+  // The serialized report covers every ProcessReport field.
+  const auto text = [](const ProcessReport& report) {
+    return daemon::report_to_json(report).to_string();
+  };
+  const EngineSnapshot snap = engine->snapshot();
+  ASSERT_EQ(snap.processes.size(), 1u);  // family scoring: one entry
+  const ProcessReport* root = snap.find(pid);
+  ASSERT_NE(root, nullptr);
+  EXPECT_GT(root->deletion_events, 0u);
+  EXPECT_EQ(text(engine->process_report(pid)), text(*root));
+  // A child's report is its family root's entry under the child's pid.
+  ProcessReport as_child = *root;
+  as_child.pid = child;
+  EXPECT_EQ(text(engine->process_report(child)), text(as_child));
+}
+
+TEST_F(EngineTest, EnsembleEntropyEventNamesItsVoters) {
+  config.entropy.ensemble.members = {
+      EnsembleMember{entropy::BackendKind::shannon, 1.0},
+      EnsembleMember{entropy::BackendKind::chi_square, 1.0}};
+  config.entropy.ensemble.min_vote_weight = 0.5;
+  attach();
+  put_prose(doc("a.txt"), 20000);
+  subject_reads(doc("a.txt"));
+  subject_writes(doc("x.bin"), rng.bytes(20000));
+  const obs::ForensicTimeline timeline = engine->process_report(pid).forensic;
+  std::size_t entropy_events = 0;
+  for (const obs::TimelineEvent& ev : timeline.events) {
+    if (ev.kind != obs::TimelineEventKind::entropy_delta) {
+      EXPECT_TRUE(ev.backend.empty());
+      continue;
+    }
+    ++entropy_events;
+    EXPECT_EQ(ev.backend, "shannon,chi_square");
+  }
+  EXPECT_EQ(entropy_events, 1u);
+  // Only entropy events carry the key in JSON.
+  const std::string json = obs::to_json(timeline).to_string();
+  EXPECT_NE(json.find("\"backend\":\"shannon,chi_square\""), std::string::npos);
 }
 
 TEST_F(EngineTest, IndicatorNamesAreStable) {

@@ -4,6 +4,7 @@
 // count, and bidirectional family parity with obs::known_metric_names().
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -56,6 +57,21 @@ TEST(ExportPromTest, GoldenTextForAllThreeKinds) {
             "test_latency_us_bucket{le=\"+Inf\"} 3\n"
             "test_latency_us_sum 104\n"
             "test_latency_us_count 3\n");
+}
+
+TEST(ExportPromTest, HugeAndNonFiniteGaugesUseExpositionTokens) {
+  // The integral-value test must not cast a value past long long (UBSan
+  // traps on it); non-finite values print as the format's own tokens.
+  MetricsSnapshot snapshot;
+  snapshot.gauges = {{"test_huge", "x", "Huge.", 1e300},
+                     {"test_pos_inf", "x", "Inf.", HUGE_VAL},
+                     {"test_neg_inf", "x", "-Inf.", -HUGE_VAL},
+                     {"test_nan", "x", "NaN.", std::nan("")}};
+  const std::string text = to_prometheus(snapshot);
+  EXPECT_NE(text.find("\ntest_huge 1e+300\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ntest_pos_inf +Inf\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ntest_neg_inf -Inf\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ntest_nan NaN\n"), std::string::npos) << text;
 }
 
 TEST(ExportPromTest, KnownPlaceholderFamiliesGetTheirTokenAsLabelKey) {

@@ -1,6 +1,9 @@
 // Tests for the JSON builder, the machine-readable reports, multi-root
-// protection, and the engine's latency self-instrumentation.
+// protection, and the engine's per-op dispatch histograms.
 #include <gtest/gtest.h>
+
+#include <cfloat>
+#include <cmath>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -47,6 +50,28 @@ TEST(Json, ArrayAndNesting) {
   EXPECT_EQ(arr.to_string(), "[1,\"two\",{\"three\":3}]");
   EXPECT_TRUE(arr.is_array());
   EXPECT_EQ(arr.size(), 3u);
+}
+
+TEST(Json, DblMaxRoundTrips) {
+  // %.10g rounds DBL_MAX up past the double range; the writer must pick
+  // digits the reader accepts and that read back to the same value.
+  for (const double v : {DBL_MAX, -DBL_MAX}) {
+    const std::string written = Json::object().set("v", v).to_string();
+    const std::optional<Json> back = parse_json(written);
+    ASSERT_TRUE(back.has_value()) << written;
+    EXPECT_EQ(back->number_or("v", 0.0), v) << written;
+    EXPECT_EQ(back->to_string(), written);
+  }
+}
+
+TEST(Json, NonFiniteNumbersWriteAsNull) {
+  EXPECT_EQ(Json(std::nan("")).to_string(), "null");
+  EXPECT_EQ(Json(HUGE_VAL).to_string(), "null");
+  EXPECT_EQ(Json(-HUGE_VAL).to_string(), "null");
+  const std::string written =
+      Json::object().set("inf", HUGE_VAL).set("nan", std::nan("")).to_string();
+  EXPECT_EQ(written, "{\"inf\":null,\"nan\":null}");
+  EXPECT_TRUE(parse_json(written).has_value());
 }
 
 TEST(Json, EmptyContainers) {
@@ -158,9 +183,20 @@ TEST(MultiRoot, AdditionalRootsAreMonitored) {
   fs.detach_filter(&engine);
 }
 
-// --- latency self-instrumentation -----------------------------------------
+// --- per-op dispatch histograms (§V-H analogue) ---------------------------
 
-TEST(LatencyStats, BucketsAccumulatePerOpType) {
+/// The `filter_dispatch_us.<op>` histogram of `snap`; fails the test
+/// when the engine did not register it.
+const obs::HistogramSnapshot& dispatch(const obs::MetricsSnapshot& snap,
+                                       vfs::OpType op) {
+  const obs::HistogramSnapshot* h =
+      snap.histogram("filter_dispatch_us." + std::string(vfs::op_name(op)));
+  EXPECT_NE(h, nullptr) << vfs::op_name(op);
+  static const obs::HistogramSnapshot kEmpty;
+  return h != nullptr ? *h : kEmpty;
+}
+
+TEST(FilterDispatchLatency, BucketsAccumulatePerOpType) {
   vfs::FileSystem fs;
   core::AnalysisEngine engine{core::ScoringConfig{}};
   fs.attach_filter(&engine);
@@ -171,27 +207,37 @@ TEST(LatencyStats, BucketsAccumulatePerOpType) {
   ASSERT_TRUE(fs.read_file(pid, "users/victim/documents/a.txt").is_ok());
   ASSERT_TRUE(fs.write_file(pid, "users/victim/documents/a.txt",
                             rng.bytes(20000)).is_ok());
+  EXPECT_GT(engine.observed_ops(), 0u);
 
-  const core::LatencyStats& stats = engine.latency_stats();
-  EXPECT_GT(stats.open.count, 0u);
-  EXPECT_GT(stats.read.count, 0u);
-  EXPECT_GT(stats.write.count, 0u);
-  EXPECT_GT(stats.close.count, 0u);
-  // A modified file's close runs the digest comparison — the expensive
-  // path (paper §V-H: write/rename/close carry the measurement).
-  EXPECT_GT(stats.close.max_ns, stats.open.max_ns);
-  EXPECT_LE(stats.open.mean_micros(), 1000.0);  // far under the paper's 1 ms
+  const obs::MetricsSnapshot snap = engine.metrics_snapshot();
+  // All eight op types are registered up front, monitored or not.
+  for (vfs::OpType op : vfs::kOpTypes) (void)dispatch(snap, op);
+  if constexpr (obs::kMetricsEnabled) {
+    const obs::HistogramSnapshot& open = dispatch(snap, vfs::OpType::open);
+    const obs::HistogramSnapshot& close = dispatch(snap, vfs::OpType::close);
+    EXPECT_GT(open.count, 0u);
+    EXPECT_GT(dispatch(snap, vfs::OpType::read).count, 0u);
+    EXPECT_GT(dispatch(snap, vfs::OpType::write).count, 0u);
+    EXPECT_GT(close.count, 0u);
+    // A modified file's close runs the digest comparison — the expensive
+    // path (paper §V-H: write/rename/close carry the measurement).
+    EXPECT_GT(close.sum, open.sum);
+    EXPECT_LE(open.mean(), 1000.0);  // far under the paper's 1 ms
+  }
   fs.detach_filter(&engine);
 }
 
-TEST(LatencyStats, UnmonitoredOpsCostNothing) {
+TEST(FilterDispatchLatency, UnmonitoredOpsCostNothing) {
   vfs::FileSystem fs;
   core::AnalysisEngine engine{core::ScoringConfig{}};
   fs.attach_filter(&engine);
   const vfs::ProcessId pid = fs.register_process("p");
   ASSERT_TRUE(fs.write_file(pid, "elsewhere/x.bin", to_bytes("data")).is_ok());
-  const core::LatencyStats& stats = engine.latency_stats();
-  EXPECT_EQ(stats.open.count + stats.write.count + stats.close.count, 0u);
+  EXPECT_EQ(engine.observed_ops(), 0u);
+  const obs::MetricsSnapshot snap = engine.metrics_snapshot();
+  std::uint64_t timed = 0;
+  for (vfs::OpType op : vfs::kOpTypes) timed += dispatch(snap, op).count;
+  EXPECT_EQ(timed, 0u);
   fs.detach_filter(&engine);
 }
 

@@ -123,12 +123,14 @@ TEST_F(RunnerTest, ParallelCampaignBitIdenticalToSerial) {
     EXPECT_EQ(s.report.funneling_events, p.report.funneling_events);
     // Each trial owns its engine, so even per-op sequence numbers in the
     // timeline are schedule-independent.
-    ASSERT_EQ(s.report.timeline.size(), p.report.timeline.size());
-    for (std::size_t j = 0; j < s.report.timeline.size(); ++j) {
-      EXPECT_EQ(s.report.timeline[j].op_seq, p.report.timeline[j].op_seq);
-      EXPECT_EQ(s.report.timeline[j].indicator, p.report.timeline[j].indicator);
-      EXPECT_EQ(s.report.timeline[j].points, p.report.timeline[j].points);
-      EXPECT_EQ(s.report.timeline[j].path, p.report.timeline[j].path);
+    const std::vector<obs::TimelineEvent>& se = s.report.forensic.events;
+    const std::vector<obs::TimelineEvent>& pe = p.report.forensic.events;
+    ASSERT_EQ(se.size(), pe.size());
+    for (std::size_t j = 0; j < se.size(); ++j) {
+      EXPECT_EQ(se[j].op_seq, pe[j].op_seq);
+      EXPECT_EQ(se[j].kind, pe[j].kind);
+      EXPECT_EQ(se[j].points, pe[j].points);
+      EXPECT_EQ(se[j].path, pe[j].path);
     }
   }
 }

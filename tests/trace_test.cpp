@@ -127,7 +127,9 @@ TEST(TraceFormat, MetadataOnlyOmitsPayload) {
   ASSERT_TRUE(fs.write_file(pid, "a.bin", to_bytes("secret payload")).is_ok());
   for (const TraceEntry& entry : recorder.entries()) {
     EXPECT_TRUE(entry.data.empty());
-    if (entry.op == OpType::write) EXPECT_EQ(entry.length, 14u);
+    if (entry.op == OpType::write) {
+      EXPECT_EQ(entry.length, 14u);
+    }
   }
   fs.detach_filter(&recorder);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -119,6 +120,12 @@ std::vector<std::string> seed_lines() {
       submit_line("fuzz", entries),
       submit_line("fuzz", {entries.begin() + 3, entries.begin() + 7}),
       Json::object().set("type", "verdicts").set("tenant", "fuzz").to_string(),
+      // The largest finite double must survive re-serialization.
+      Json::object()
+          .set("type", "events")
+          .set("cursor", DBL_MAX)
+          .set("max", -DBL_MAX)
+          .to_string(),
   };
 }
 

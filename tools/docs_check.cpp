@@ -118,13 +118,24 @@ std::vector<std::string> shed_reason_labels() {
   return labels;
 }
 
+/// Op-type labels straight from the vfs enum, for the `<op_type>`
+/// placeholder family (per-op dispatch histograms).
+std::vector<std::string> op_type_labels() {
+  std::vector<std::string> labels;
+  for (cryptodrop::vfs::OpType op : cryptodrop::vfs::kOpTypes) {
+    labels.emplace_back(cryptodrop::vfs::op_name(op));
+  }
+  return labels;
+}
+
 /// Placeholder -> labels, derived from the real enums (not from obs —
 /// invariant 1 is exactly that obs agrees with this map).
 std::map<std::string, std::vector<std::string>> enum_placeholder_labels() {
   return {{"<indicator>", indicator_labels()},
           {"<fault>", fault_labels()},
           {"<entropy_backend>", entropy_backend_labels()},
-          {"<shed_reason>", shed_reason_labels()}};
+          {"<shed_reason>", shed_reason_labels()},
+          {"<op_type>", op_type_labels()}};
 }
 
 /// Every metric name a default-config engine, a default-plan fault
