@@ -644,14 +644,18 @@ std::optional<Json> run_tracing_overhead_guardrail() {
   std::printf("%-22s %14.1f %+9.1f%%\n", "full (every op)", full_us,
               overhead(full_us));
 
-  if (obs::kMetricsEnabled && overhead(sampled_us) >= 5.0) {
+  if (!obs::kMetricsEnabled) {
+    std::printf("tracing gate skipped: metrics compiled out "
+                "(CRYPTODROP_NO_METRICS)\n");
+  } else if (overhead(sampled_us) >= 5.0) {
     std::fprintf(stderr,
                  "FAIL: sampled span tracing costs %.1f%% (budget: <5%% over "
                  "the untraced baseline)\n",
                  overhead(sampled_us));
     return std::nullopt;
+  } else {
+    std::printf("sampled tracing within the <5%% budget\n");
   }
-  std::printf("sampled tracing within the <5%% budget\n");
   Json out = Json::object();
   out.set("write_close_ops_per_sec",
           off_us > 0.0 ? 1e6 * kOpsPerRep / off_us : 0.0);

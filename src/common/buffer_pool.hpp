@@ -3,8 +3,8 @@
 // The indicator pass needs short-lived vectors every operation (simhash
 // trigger positions and feature hashes, the DAA tail linearization).
 // Allocating them per op costs a malloc/free round trip on the hottest
-// code in the repo, and under the daemon's sharded workers those calls
-// contend inside the allocator. The pool keeps a small per-thread
+// code in the repo, and with several daemon workers those calls contend
+// inside the allocator. The pool keeps a small per-thread
 // freelist (LIFO, capacity-bounded) so steady-state acquisitions are a
 // pointer pop — no lock, no allocator, no cross-thread traffic (cf.
 // lokinet's util/buffer_pool.hpp, which pools packet buffers the same

@@ -1,14 +1,10 @@
 // Rank-checked mutexes: the runtime half of the project's lock-order
 // contract (DESIGN.md §13; the static half is tools/lint).
 //
-// Every long-lived mutex in the repo is a RankedMutex<Rank> (or
-// RankedSharedMutex<Rank>) whose rank comes from the table in
-// `lockrank` below. The contract a thread must obey:
-//
-//   * acquire mutexes in strictly increasing rank order, except
-//   * several mutexes of the SAME rank may be held together when they
-//     are acquired in ascending address order (the engine snapshot's
-//     in-index-order sweep over its shard array is exactly this case).
+// Every long-lived mutex in the repo is a RankedMutex<Rank> whose rank
+// comes from the table in `lockrank` below. The contract a thread must
+// obey: acquire mutexes in strictly increasing rank order. Two locks of
+// one rank are never held together.
 //
 // In a -DCRYPTODROP_CHECK=ON build (the TSan CI job enables it) each
 // thread keeps a rank stack of the locks it holds; an out-of-order
@@ -29,13 +25,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <shared_mutex>
 
 namespace cryptodrop::common {
 
 /// The project lock-rank table (DESIGN.md §13 documents the why of
 /// each ordering edge). A thread holding rank R may only acquire
-/// ranks > R (or another rank-R lock at a higher address).
+/// ranks > R.
 namespace lockrank {
 /// Harness runner: first-trial-error slot (leaf; held a few stores).
 inline constexpr unsigned kRunnerError = 1;
@@ -54,22 +49,19 @@ inline constexpr unsigned kDaemonQueue = 4;
 /// but ranked below the engine so the suspension alert callback (which
 /// runs with no engine lock held) and worker-loop appends compose.
 inline constexpr unsigned kDaemonJournal = 5;
-/// Engine per-process scoreboard shard (16 of them; the snapshot sweep
-/// takes all 16 in index — i.e. ascending-address — order).
-inline constexpr unsigned kScoreboardShard = 10;
-/// Engine per-file baseline shard; acquired under a scoreboard shard
-/// on the evaluate-modification path.
-inline constexpr unsigned kFileTable = 20;
-/// Shared digest-cache shard; acquired under a file shard when a miss
-/// computes a digest mid-evaluation.
+/// The analysis engine's one lock (scoreboard, file baselines, pid
+/// keys): every engine callback and every engine query takes it once.
+inline constexpr unsigned kEngine = 10;
+/// Shared digest-cache shard; acquired under the engine lock when a
+/// miss computes a digest mid-evaluation.
 inline constexpr unsigned kDigestCache = 30;
 /// MetricsRegistry registration/snapshot lock (never on the op path).
 inline constexpr unsigned kMetricsRegistry = 50;
-/// Span-tracer shard ring; a span close under scoreboard/file locks
-/// lands here.
+/// Span-tracer shard ring; a span close under the engine lock lands
+/// here.
 inline constexpr unsigned kSpanShard = 60;
-/// Span-tracer forced-pid set; the verdict path takes it under a
-/// scoreboard shard.
+/// Span-tracer forced-pid set; the verdict path takes it under the
+/// engine lock.
 inline constexpr unsigned kSpanForce = 62;
 }  // namespace lockrank
 
@@ -90,7 +82,7 @@ struct HeldLock {
 };
 
 /// The calling thread's currently held ranked locks, in acquisition
-/// order (the ordering contract keeps it non-decreasing by rank).
+/// order (the ordering contract keeps it increasing by rank).
 /// Fixed capacity: nesting depth is bounded by the rank table, so the
 /// lock acquisition path never touches the allocator — check_acquire
 /// sits inside every hot-path lock (cryptodrop:hot purity gate).
@@ -113,9 +105,7 @@ inline void check_acquire(unsigned rank, const void* mx) {
   HeldStack& stack = held_stack();
   if (stack.depth > 0) {
     const HeldLock& top = stack.items[stack.depth - 1];
-    const bool ordered =
-        rank > top.rank || (rank == top.rank && mx > top.mx);
-    if (!ordered) {
+    if (rank <= top.rank) {
       std::fprintf(stderr,
                    "cryptodrop: lock-rank violation: acquiring rank %u "
                    "(%p) while holding rank %u (%p)\n",
@@ -133,8 +123,8 @@ inline void check_acquire(unsigned rank, const void* mx) {
   stack.items[stack.depth++] = HeldLock{rank, mx};
 }
 
-/// Removes `mx` from the rank stack (latest acquisition first, so
-/// recursive same-address patterns would unwind correctly).
+/// Removes `mx` from the rank stack, wherever it sits (a thread may
+/// release a lower-ranked lock before a higher-ranked one).
 inline void note_release(const void* mx) {
   HeldStack& stack = held_stack();
   for (std::size_t i = stack.depth; i-- > 0;) {
@@ -182,50 +172,6 @@ class RankedMutex {
 
  private:
   std::mutex m_;  // lock-rank: Rank (carried by the enclosing template)
-};
-
-/// std::shared_mutex carrying a compile-time lock rank. Shared
-/// acquisitions obey the same rank order as exclusive ones (a reader
-/// can deadlock a writer just as well).
-template <unsigned Rank, bool Checked = kLockCheckDefault>
-class RankedSharedMutex {
- public:
-  /// This mutex's position in the lockrank table.
-  static constexpr unsigned rank() { return Rank; }
-
-  /// Blocking exclusive acquire; aborts on rank inversion when Checked.
-  void lock() {
-    if constexpr (Checked) detail::check_acquire(Rank, this);
-    m_.lock();
-  }
-
-  /// Exclusive release.
-  void unlock() {
-    m_.unlock();
-    if constexpr (Checked) detail::note_release(this);
-  }
-
-  /// Non-blocking exclusive acquire (rank-checked on success).
-  bool try_lock() {
-    if (!m_.try_lock()) return false;
-    if constexpr (Checked) detail::check_acquire(Rank, this);
-    return true;
-  }
-
-  /// Blocking shared acquire; aborts on rank inversion when Checked.
-  void lock_shared() {
-    if constexpr (Checked) detail::check_acquire(Rank, this);
-    m_.lock_shared();
-  }
-
-  /// Shared release.
-  void unlock_shared() {
-    m_.unlock_shared();
-    if constexpr (Checked) detail::note_release(this);
-  }
-
- private:
-  std::shared_mutex m_;  // lock-rank: Rank (carried by the enclosing template)
 };
 
 }  // namespace cryptodrop::common

@@ -41,9 +41,9 @@ ProcessReport EngineSnapshot::report_for(vfs::ProcessId pid) const {
 
 namespace {
 
-/// Alerts raised while scoreboard locks are held are parked here and
-/// delivered after the locks are released (so a callback may query the
-/// engine freely). The sink is scoped to one pre/post callback; engine
+/// Alerts raised while the engine lock is held are parked here and
+/// delivered after it is released (so a callback may query the engine
+/// freely). The sink is scoped to one pre/post callback; engine
 /// callbacks never nest on a thread, so one slot suffices.
 thread_local std::vector<Alert>* t_alert_sink = nullptr;
 
@@ -226,23 +226,37 @@ bool AnalysisEngine::under_root(std::string_view path) const {
   return false;
 }
 
-vfs::ProcessId AnalysisEngine::scoreboard_key(vfs::ProcessId pid) const {
+vfs::ProcessId AnalysisEngine::record_key(vfs::ProcessId pid) {
   // Family scoring: all descendants share one reputation entry, so a
   // sample cannot dilute its score across spawned workers and a
   // suspension pauses the whole tree.
-  if (config_.enable_family_scoring && fs_ != nullptr) {
-    return fs_->process_family_root(pid);
+  if (!config_.enable_family_scoring || fs_ == nullptr) return pid;
+  if (const auto it = keys_.find(pid); it != keys_.end()) return it->second;
+  // The process tree never changes once a pid is registered, so one
+  // walk per pid suffices. Recording the ancestors too lets a query
+  // about a parent that issued no op itself find its family's entry.
+  const vfs::ProcessId root = fs_->process_family_root(pid);
+  for (vfs::ProcessId p = pid; p != root; p = fs_->process_parent(p)) {
+    keys_.try_emplace(p, root);
   }
-  return pid;
+  keys_.try_emplace(root, root);
+  return root;
 }
 
-AnalysisEngine::LockedProcess AnalysisEngine::lock_state_for(
+vfs::ProcessId AnalysisEngine::recorded_key(vfs::ProcessId pid) const {
+  const auto it = keys_.find(pid);
+  return it == keys_.end() ? pid : it->second;
+}
+
+const AnalysisEngine::ProcessState* AnalysisEngine::find_state(
+    vfs::ProcessId pid) const {
+  const auto it = states_.find(recorded_key(pid));
+  return it == states_.end() ? nullptr : &it->second;
+}
+
+AnalysisEngine::ProcessState& AnalysisEngine::state_for(
     const vfs::OperationEvent& event) {
-  LockedProcess locked;
-  locked.key = scoreboard_key(event.pid);
-  ScoreboardShard& shard = shard_for_key(locked.key);
-  locked.lock = std::unique_lock<ScoreboardMutex>(shard.mu);
-  auto [it, inserted] = shard.states.try_emplace(locked.key);
+  auto [it, inserted] = states_.try_emplace(record_key(event.pid));
   if (inserted) {
     it->second.name = event.process_name;
     it->second.threshold = config_.score_threshold;
@@ -250,32 +264,26 @@ AnalysisEngine::LockedProcess AnalysisEngine::lock_state_for(
     it->second.read_means.resize(entropy_members_.size());
     it->second.write_means.resize(entropy_members_.size());
   }
-  locked.proc = &it->second;
-  return locked;
+  return it->second;
 }
 
 bool AnalysisEngine::is_suspended(vfs::ProcessId pid) const {
-  const vfs::ProcessId key = scoreboard_key(pid);
-  ScoreboardShard& shard = shard_for_key(key);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.states.find(key);
-  return it != shard.states.end() && it->second.suspended;
+  std::lock_guard lock(mu_);
+  const ProcessState* proc = find_state(pid);
+  return proc != nullptr && proc->suspended;
 }
 
 int AnalysisEngine::score(vfs::ProcessId pid) const {
-  const vfs::ProcessId key = scoreboard_key(pid);
-  ScoreboardShard& shard = shard_for_key(key);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.states.find(key);
-  return it == shard.states.end() ? 0 : it->second.score;
+  std::lock_guard lock(mu_);
+  const ProcessState* proc = find_state(pid);
+  return proc == nullptr ? 0 : proc->score;
 }
 
 ProcessReport AnalysisEngine::process_report(vfs::ProcessId pid) const {
-  const vfs::ProcessId key = scoreboard_key(pid);
-  ScoreboardShard& shard = shard_for_key(key);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.states.find(key);
-  if (it == shard.states.end()) {
+  std::lock_guard lock(mu_);
+  const vfs::ProcessId key = recorded_key(pid);
+  const auto it = states_.find(key);
+  if (it == states_.end()) {
     ProcessReport report;
     report.pid = pid;
     report.threshold = config_.score_threshold;
@@ -324,11 +332,10 @@ ProcessReport AnalysisEngine::make_report(vfs::ProcessId pid, vfs::ProcessId key
 }
 
 obs::ForensicTimeline AnalysisEngine::explain(vfs::ProcessId pid) const {
-  const vfs::ProcessId key = scoreboard_key(pid);
-  ScoreboardShard& shard = shard_for_key(key);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.states.find(key);
-  if (it == shard.states.end()) {
+  std::lock_guard lock(mu_);
+  const vfs::ProcessId key = recorded_key(pid);
+  const auto it = states_.find(key);
+  if (it == states_.end()) {
     obs::ForensicTimeline timeline;
     timeline.pid = key;
     timeline.threshold = config_.score_threshold;
@@ -337,14 +344,10 @@ obs::ForensicTimeline AnalysisEngine::explain(vfs::ProcessId pid) const {
   return make_forensic(key, it->second);
 }
 
-void AnalysisEngine::refresh_gauges(std::size_t tracked_processes) const {
+void AnalysisEngine::refresh_gauges(std::size_t tracked_processes,
+                                    std::size_t tracked_files) const {
   g_processes_->set(static_cast<double>(tracked_processes));
-  std::size_t files = 0;
-  for (const FileShard& shard : file_shards_) {
-    std::lock_guard lock(shard.mu);
-    files += shard.files.size();
-  }
-  g_files_->set(static_cast<double>(files));
+  g_files_->set(static_cast<double>(tracked_files));
   if (config_.share_digest_cache) {
     const simhash::DigestCacheStats stats = simhash::DigestCache::global().stats();
     g_cache_hits_->set(static_cast<double>(stats.hits));
@@ -360,46 +363,38 @@ void AnalysisEngine::refresh_gauges(std::size_t tracked_processes) const {
 
 obs::MetricsSnapshot AnalysisEngine::metrics_snapshot() const {
   std::size_t processes = 0;
-  for (const ScoreboardShard& shard : scoreboard_shards_) {
-    std::lock_guard lock(shard.mu);
-    processes += shard.states.size();
+  std::size_t files = 0;
+  {
+    std::lock_guard lock(mu_);
+    processes = states_.size();
+    files = files_.size();
   }
-  refresh_gauges(processes);
+  refresh_gauges(processes, files);
   return metrics_.snapshot();
 }
 
 EngineSnapshot AnalysisEngine::snapshot() const {
   EngineSnapshot snap;
   snap.default_threshold = config_.score_threshold;
-
-  // Stop the world: take every scoreboard shard in index order (the
-  // only place more than one scoreboard lock is ever held — see the
-  // lock-order contract in DESIGN.md §9).
-  std::array<std::unique_lock<ScoreboardMutex>, kScoreboardShards> locks;
-  for (std::size_t i = 0; i < kScoreboardShards; ++i) {
-    locks[i] = std::unique_lock<ScoreboardMutex>(scoreboard_shards_[i].mu);
-  }
-  snap.observed_ops = op_seq_.load(std::memory_order_relaxed);
-  for (const ScoreboardShard& shard : scoreboard_shards_) {
-    for (const auto& [key, s] : shard.states) {
+  std::size_t files = 0;
+  {
+    std::lock_guard lock(mu_);
+    snap.observed_ops = op_seq_.load(std::memory_order_relaxed);
+    // states_ iterates in ascending key order, the order reports keep.
+    for (const auto& [key, s] : states_) {
       snap.processes.push_back(make_report(key, key, s));
     }
+    files = files_.size();
   }
-  for (std::size_t i = kScoreboardShards; i > 0; --i) locks[i - 1].unlock();
-
-  std::sort(snap.processes.begin(), snap.processes.end(),
-            [](const ProcessReport& a, const ProcessReport& b) { return a.pid < b.pid; });
-  refresh_gauges(snap.processes.size());
+  refresh_gauges(snap.processes.size(), files);
   snap.metrics = metrics_.snapshot();
   return snap;
 }
 
 void AnalysisEngine::resume_process(vfs::ProcessId pid) {
-  const vfs::ProcessId key = scoreboard_key(pid);
-  ScoreboardShard& shard = shard_for_key(key);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.states.find(key);
-  if (it == shard.states.end()) return;
+  std::lock_guard lock(mu_);
+  auto it = states_.find(recorded_key(pid));
+  if (it == states_.end()) return;
   ProcessState& s = it->second;
   const int score_before = s.score;
   s.suspended = false;
@@ -419,7 +414,7 @@ void AnalysisEngine::resume_process(vfs::ProcessId pid) {
 }
 
 // ----------------------------------------------------------------------
-// Scoring plumbing (callers hold the process's scoreboard shard lock)
+// Scoring plumbing (callers hold the engine lock)
 // ----------------------------------------------------------------------
 
 void AnalysisEngine::add_points(ProcessState& proc, vfs::ProcessId pid,
@@ -503,13 +498,9 @@ void AnalysisEngine::maybe_detect(ProcessState& proc, vfs::ProcessId pid,
   alert.threshold = proc.threshold;
   alert.via_union = via_union;
   alert.op_seq = op_seq_.load(std::memory_order_relaxed);
-  if (t_alert_sink != nullptr) {
-    // Normal path: deliver after the enclosing pre/post callback has
-    // released its locks.
-    t_alert_sink->push_back(std::move(alert));
-  } else if (alert_callback_) {
-    alert_callback_(alert);
-  }
+  // Delivered once the enclosing callback has released the engine lock.
+  assert(t_alert_sink != nullptr);
+  t_alert_sink->push_back(std::move(alert));
 }
 
 void AnalysisEngine::capture_baseline(vfs::FileId id,
@@ -522,9 +513,7 @@ void AnalysisEngine::capture_baseline(vfs::FileId id,
     m_degraded_->add();
     return;
   }
-  FileShard& shard = shard_for_file(id);
-  std::lock_guard lock(shard.mu);
-  auto [it, inserted] = shard.files.try_emplace(id);
+  auto [it, inserted] = files_.try_emplace(id);
   if (!inserted && it->second.baseline != nullptr) return;  // already tracked
   it->second.baseline = content;
   it->second.baseline_type = sniff_type(ByteView(*content));
@@ -543,17 +532,13 @@ magic::TypeId AnalysisEngine::sniff_type(ByteView data) const {
 
 void AnalysisEngine::forget_file(vfs::FileId id) {
   if (id == vfs::kNoFile) return;
-  FileShard& shard = shard_for_file(id);
-  std::lock_guard lock(shard.mu);
-  shard.files.erase(id);
+  files_.erase(id);
 }
 
 bool AnalysisEngine::mark_pending_check(vfs::FileId id) {
   if (id == vfs::kNoFile) return false;
-  FileShard& shard = shard_for_file(id);
-  std::lock_guard lock(shard.mu);
-  auto it = shard.files.find(id);
-  if (it == shard.files.end() || it->second.baseline == nullptr) return false;
+  auto it = files_.find(id);
+  if (it == files_.end() || it->second.baseline == nullptr) return false;
   it->second.pending_check = true;
   return true;
 }
@@ -586,10 +571,8 @@ void AnalysisEngine::evaluate_modification(
     m_degraded_->add();
     return;
   }
-  FileShard& shard = shard_for_file(id);
-  std::lock_guard file_lock(shard.mu);
-  auto it = shard.files.find(id);
-  if (it == shard.files.end() || it->second.baseline == nullptr) return;
+  auto it = files_.find(id);
+  if (it == files_.end() || it->second.baseline == nullptr) return;
   FileState& file = it->second;
   if (file.baseline == content) {
     // Content untouched (e.g. moved out of and back into the protected
@@ -704,9 +687,13 @@ void AnalysisEngine::evaluate_modification(
 // cryptodrop:hot
 vfs::Verdict AnalysisEngine::pre_operation(const vfs::OperationEvent& event) {
   AlertScope alerts(alert_callback_);
+  std::lock_guard lock(mu_);
+  const auto state = states_.find(record_key(event.pid));
   // A suspended process's disk accesses stay paused until the user
   // resumes it. Closing handles is still permitted (not a disk access).
-  if (event.op != vfs::OpType::close && is_suspended(event.pid)) {
+  // Pre handlers assess no points, so this is the one check needed.
+  if (event.op != vfs::OpType::close && state != states_.end() &&
+      state->second.suspended) {
     m_ops_denied_->add();
     return vfs::Verdict::deny;
   }
@@ -734,13 +721,6 @@ vfs::Verdict AnalysisEngine::pre_operation(const vfs::OperationEvent& event) {
       // exclusively in the post callback, once the bytes actually land.
       break;
   }
-
-  // Points assessed during this pre callback may have crossed the
-  // threshold; if so, this very operation is the first one paused.
-  if (event.op != vfs::OpType::close && is_suspended(event.pid)) {
-    m_ops_denied_->add();
-    return vfs::Verdict::deny;
-  }
   return vfs::Verdict::allow;
 }
 
@@ -755,6 +735,7 @@ void AnalysisEngine::post_operation(const vfs::OperationEvent& event,
   if (!src_protected && !dst_protected) return;
 
   AlertScope alerts(alert_callback_);
+  std::lock_guard lock(mu_);
   obs::ScopedTimer timer(h_dispatch_[static_cast<std::size_t>(event.op)]);
   switch (event.op) {
     case vfs::OpType::read:
@@ -910,13 +891,11 @@ void AnalysisEngine::handle_write_post(const vfs::OperationEvent& event) {
   // non-ok outcomes before dispatching here. For short writes,
   // event.data is the surviving prefix — the bytes that actually landed
   // — not the caller's full request (event.length).
-  LockedProcess locked = lock_state_for(event);
-  if (locked.proc->suspended) return;
-  score_write_entropy(*locked.proc, event.pid, event.data, event.path);
-  if (locked.proc->suspended) return;  // this write crossed the threshold
-  note_modification(*locked.proc, event.pid, event.timestamp, event.file_id,
-                    event.path);
-  locked.lock.unlock();
+  ProcessState& proc = state_for(event);
+  if (proc.suspended) return;
+  score_write_entropy(proc, event.pid, event.data, event.path);
+  if (proc.suspended) return;  // this write crossed the threshold
+  note_modification(proc, event.pid, event.timestamp, event.file_id, event.path);
 
   // Defer type/similarity comparison to close, when the content is whole.
   (void)mark_pending_check(event.file_id);
@@ -932,11 +911,9 @@ void AnalysisEngine::handle_truncate_pre(const vfs::OperationEvent& event) {
 }
 
 void AnalysisEngine::handle_truncate_post(const vfs::OperationEvent& event) {
-  LockedProcess locked = lock_state_for(event);
-  if (locked.proc->suspended) return;
-  note_modification(*locked.proc, event.pid, event.timestamp, event.file_id,
-                    event.path);
-  locked.lock.unlock();
+  ProcessState& proc = state_for(event);
+  if (proc.suspended) return;
+  note_modification(proc, event.pid, event.timestamp, event.file_id, event.path);
 
   // No bytes to fold into the entropy mean, but the mutation must still
   // be judged: compare type/similarity against the pre-image at close.
@@ -944,8 +921,7 @@ void AnalysisEngine::handle_truncate_post(const vfs::OperationEvent& event) {
 }
 
 void AnalysisEngine::handle_read_post(const vfs::OperationEvent& event) {
-  LockedProcess locked = lock_state_for(event);
-  ProcessState& proc = *locked.proc;
+  ProcessState& proc = state_for(event);
   if (config_.entropy.enabled) {
     fold_read_entropy(proc, event.data);
   }
@@ -983,22 +959,16 @@ void AnalysisEngine::handle_close_post(const vfs::OperationEvent& event) {
   obs::ScopedTimer timer(h_close_measure_);
   const auto content = fs_->read_unfiltered(event.path);
 
-  bool tracked_pending = false;
-  if (event.file_id != vfs::kNoFile) {
-    FileShard& shard = shard_for_file(event.file_id);
-    std::lock_guard lock(shard.mu);
-    auto it = shard.files.find(event.file_id);
-    tracked_pending = it != shard.files.end() &&
-                      it->second.baseline != nullptr && it->second.pending_check;
-  }
+  const auto file = files_.find(event.file_id);
+  const bool tracked_pending = file != files_.end() &&
+                               file->second.baseline != nullptr &&
+                               file->second.pending_check;
 
-  LockedProcess locked = lock_state_for(event);
-  if (locked.proc->suspended) return;  // verdict delivered; the permitted
-                                       // close of a suspended process is
-                                       // not measured further
+  ProcessState& proc = state_for(event);
+  if (proc.suspended) return;  // verdict delivered; the permitted close of
+                               // a suspended process is not measured further
   if (tracked_pending) {
-    evaluate_modification(*locked.proc, event.pid, event.file_id, event.path,
-                          content);
+    evaluate_modification(proc, event.pid, event.file_id, event.path, content);
     return;
   }
 
@@ -1006,10 +976,9 @@ void AnalysisEngine::handle_close_post(const vfs::OperationEvent& event) {
   // written output for funneling, and becomes tracked from here on.
   if (content != nullptr) {
     const magic::TypeId type_now = sniff_type(ByteView(*content));
-    locked.proc->write_types.insert(type_now);
+    proc.write_types.insert(type_now);
     const std::string ext = vfs::path_extension(event.path);
-    if (!ext.empty()) locked.proc->write_extensions.insert(ext);
-    locked.lock.unlock();
+    if (!ext.empty()) proc.write_extensions.insert(ext);
     capture_baseline(event.file_id, content);
   } else {
     // The handle wrote, yet the content cannot be read back: the close
@@ -1019,17 +988,14 @@ void AnalysisEngine::handle_close_post(const vfs::OperationEvent& event) {
 }
 
 void AnalysisEngine::handle_remove_post(const vfs::OperationEvent& event) {
-  {
-    LockedProcess locked = lock_state_for(event);
-    ProcessState& proc = *locked.proc;
-    note_modification(proc, event.pid, event.timestamp, event.file_id, event.path);
-    if (config_.enable_deletion) {
-      ++proc.deletion_events;
-      add_points(proc, event.pid, Indicator::deletion, config_.points_deletion,
-                 event.path, /*detail=*/0.0,
-                 "protected file removed");
-      maybe_detect(proc, event.pid, /*via_union=*/false);
-    }
+  ProcessState& proc = state_for(event);
+  note_modification(proc, event.pid, event.timestamp, event.file_id, event.path);
+  if (config_.enable_deletion) {
+    ++proc.deletion_events;
+    add_points(proc, event.pid, Indicator::deletion, config_.points_deletion,
+               event.path, /*detail=*/0.0,
+               "protected file removed");
+    maybe_detect(proc, event.pid, /*via_union=*/false);
   }
   forget_file(event.file_id);
 }
@@ -1054,8 +1020,7 @@ void AnalysisEngine::handle_rename_post(const vfs::OperationEvent& event) {
   const bool dst_protected = under_root(event.dest_path);
   const auto content = fs_->read_unfiltered(event.dest_path);
 
-  LockedProcess locked = lock_state_for(event);
-  ProcessState& proc = *locked.proc;
+  ProcessState& proc = state_for(event);
 
   if (dst_protected && event.dest_file_id != vfs::kNoFile) {
     // Replacement: the incoming file (event.file_id) now sits where the
@@ -1064,7 +1029,6 @@ void AnalysisEngine::handle_rename_post(const vfs::OperationEvent& event) {
     // 41/63 Class C samples that move ciphertext over the original.
     evaluate_modification(proc, event.pid, event.dest_file_id, event.dest_path,
                           content);
-    locked.lock.unlock();
     // The replaced file's identity is gone; the survivor keeps tracking
     // under its own id with its current content as baseline.
     forget_file(event.dest_file_id);
@@ -1099,21 +1063,14 @@ void AnalysisEngine::handle_rename_post(const vfs::OperationEvent& event) {
         fold_read_entropy(proc, ByteView(*departing));
       }
     }
-    locked.lock.unlock();
     (void)mark_pending_check(event.file_id);
     return;
   }
 
   // Move within the protected tree without replacement: content is
   // untouched; evaluate only if a write already flagged it.
-  bool pending = false;
-  if (event.file_id != vfs::kNoFile) {
-    FileShard& shard = shard_for_file(event.file_id);
-    std::lock_guard file_lock(shard.mu);
-    auto it = shard.files.find(event.file_id);
-    pending = it != shard.files.end() && it->second.pending_check;
-  }
-  if (pending) {
+  const auto file = files_.find(event.file_id);
+  if (file != files_.end() && file->second.pending_check) {
     evaluate_modification(proc, event.pid, event.file_id, event.dest_path, content);
   }
 }

@@ -16,14 +16,14 @@
 //    pre-image (the paper reports 41 of 63 Class C samples were caught
 //    exactly this way).
 //
-// Threading model (DESIGN.md §9): the engine may be driven concurrently
-// from many threads. The per-process scoreboard and the per-file baseline
-// table are each split into fixed shards behind their own mutexes; an
-// operation locks exactly one scoreboard shard and at most one file shard
-// at a time, always in that order. snapshot() takes every scoreboard
-// shard (in index order) for one consistent view. Alert callbacks are
-// invoked with no engine lock held, on the thread whose operation crossed
-// the threshold, before that operation returns.
+// Threading model (DESIGN.md §9): one thread drives a volume, and with
+// it the engine's callbacks; queries may come from other threads. One
+// engine mutex guards the scoreboard, the file baselines and the pid
+// keys: each pre/post callback takes it once, and so does each query.
+// Queries never touch the volume — they resolve a pid through the key
+// the op path recorded for it. Alert callbacks are invoked with no
+// engine lock held, on the thread whose operation crossed the
+// threshold, before that operation returns.
 #pragma once
 
 #include <array>
@@ -33,7 +33,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -52,12 +51,6 @@
 #include "vfs/filter.hpp"
 
 namespace cryptodrop::core {
-
-/// Scoreboard-shard mutex: rank 10 in the project lock-rank table
-/// (common/ranked_mutex.hpp; DESIGN.md §13).
-using ScoreboardMutex = common::RankedMutex<common::lockrank::kScoreboardShard>;
-/// File-baseline-shard mutex: rank 20 (acquired under a scoreboard shard).
-using FileTableMutex = common::RankedMutex<common::lockrank::kFileTable>;
 
 /// Which indicator produced a score event.
 enum class Indicator : std::uint8_t {
@@ -117,9 +110,9 @@ struct EngineSnapshot {
   /// when family scoring is enabled).
   std::vector<ProcessReport> processes;
   std::uint64_t observed_ops = 0;
-  /// Every engine metric (counters, gauges, latency histograms),
-  /// merged across write shards at capture time — the machine-readable
-  /// side of this snapshot (obs::to_json serializes it).
+  /// Every engine metric (counters, gauges, latency histograms), read
+  /// at capture time — the machine-readable side of this snapshot
+  /// (obs::to_json serializes it).
   obs::MetricsSnapshot metrics;
   int default_threshold = 0;  ///< config.score_threshold at capture time.
 
@@ -142,10 +135,9 @@ struct Alert {
 
 /// The CryptoDrop detector (§IV): a vfs::Filter that scores every
 /// process's file activity against the paper's indicators and suspends
-/// a process whose reputation crosses the threshold. Fully thread-safe:
-/// state is sharded 16 ways (scoreboard and file baselines), callbacks
-/// on different processes/files proceed in parallel, and all queries may
-/// run concurrently with operations.
+/// a process whose reputation crosses the threshold. Thread-safe: one
+/// mutex serializes callbacks and queries, so queries may run
+/// concurrently with the thread driving operations.
 class AnalysisEngine : public vfs::Filter {
  public:
   /// Throws std::invalid_argument when `config.validate()` fails — an
@@ -179,7 +171,10 @@ class AnalysisEngine : public vfs::Filter {
   // --- queries ----------------------------------------------------------
   /// The validated configuration this engine was built with (immutable).
   [[nodiscard]] const ScoringConfig& config() const { return config_; }
-  /// Whether `pid`'s scoreboard entry is currently suspended. Thread-safe.
+  /// Whether `pid`'s scoreboard entry is currently suspended. Like every
+  /// per-pid query, resolves `pid` through the scoreboard key the op
+  /// path recorded when it first saw `pid` (or a descendant of it); a
+  /// pid no op has come from answers as itself. Thread-safe.
   [[nodiscard]] bool is_suspended(vfs::ProcessId pid) const;
   /// `pid`'s current reputation score (0 if never scored). Thread-safe.
   [[nodiscard]] int score(vfs::ProcessId pid) const;
@@ -187,20 +182,20 @@ class AnalysisEngine : public vfs::Filter {
   /// threshold when `pid` was never scored). Thread-safe.
   [[nodiscard]] ProcessReport process_report(vfs::ProcessId pid) const;
   /// Atomically captures every process report and the observed-op count
-  /// under one (stop-the-world) lock acquisition, then the metrics.
+  /// under one hold of the engine lock, then the metrics.
   [[nodiscard]] EngineSnapshot snapshot() const;
   /// "Why was pid X suspended?" — the bounded forensic event history of
   /// `pid`'s scoreboard entry (score deltas with before/after values,
   /// indicator detail, and any suspension/resume verdicts). A never-seen
   /// pid yields an empty timeline carrying the default threshold.
-  /// Thread-safe; locks only that pid's scoreboard shard.
+  /// Thread-safe.
   [[nodiscard]] obs::ForensicTimeline explain(vfs::ProcessId pid) const;
-  /// Current value of every engine metric, merged across write shards.
-  /// Thread-safe; may run concurrently with operations (counters already
-  /// incremented are visible, in-flight ones may not be). Gauges are
-  /// refreshed (shard walk) as part of the call. The per-op cost of the
-  /// engine's own callbacks (the §V-H analogue) is the
-  /// `filter_dispatch_us.<op_type>` histogram family.
+  /// Current value of every engine metric. Thread-safe; may run
+  /// concurrently with operations (counters already incremented are
+  /// visible, in-flight ones may not be). Gauges are refreshed as part
+  /// of the call. The per-op cost of the engine's own callbacks (the
+  /// §V-H analogue) is the `filter_dispatch_us.<op_type>` histogram
+  /// family.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
   /// Total operations the engine observed under the protected root.
   [[nodiscard]] std::uint64_t observed_ops() const {
@@ -254,7 +249,7 @@ class AnalysisEngine : public vfs::Filter {
 
     /// Bounded forensic ring (capacity fixed at entry creation from
     /// config.timeline_capacity; 0 = recording disabled). Mutated only
-    /// under this entry's shard lock, so it needs no atomics of its own.
+    /// under the engine lock, so it needs no atomics of its own.
     obs::TimelineRing forensic{0};
   };
 
@@ -270,42 +265,20 @@ class AnalysisEngine : public vfs::Filter {
     bool pending_check = false;  ///< A write/move happened; compare on close/rename.
   };
 
-  /// Shard counts are fixed powers of two; ids are assigned densely by
-  /// the VFS, so a plain modulus spreads them evenly.
-  static constexpr std::size_t kScoreboardShards = 16;
-  static constexpr std::size_t kFileShards = 16;
-
-  struct ScoreboardShard {
-    mutable ScoreboardMutex mu;
-    std::map<vfs::ProcessId, ProcessState> states;
-  };
-  struct FileShard {
-    mutable FileTableMutex mu;
-    std::map<vfs::FileId, FileState> files;
-  };
-
-  /// A scoreboard shard lock pinned to one process entry. While it lives,
-  /// the shard's mutex is held and `proc` may be mutated.
-  struct LockedProcess {
-    std::unique_lock<ScoreboardMutex> lock;
-    ProcessState* proc = nullptr;
-    vfs::ProcessId key = 0;
-  };
-
-  [[nodiscard]] ScoreboardShard& shard_for_key(vfs::ProcessId key) const {
-    return scoreboard_shards_[key % kScoreboardShards];
-  }
-  [[nodiscard]] FileShard& shard_for_file(vfs::FileId id) const {
-    return file_shards_[id % kFileShards];
-  }
+  // Unless noted, the private member functions below run with `mu_`
+  // held.
 
   [[nodiscard]] bool under_root(std::string_view path) const;
-  /// Resolves a pid to its scoreboard entry key (the family root when
-  /// family scoring is on).
-  [[nodiscard]] vfs::ProcessId scoreboard_key(vfs::ProcessId pid) const;
-  /// Locks the scoreboard shard of `event.pid`'s key and pins (creating
-  /// if needed) its state entry.
-  LockedProcess lock_state_for(const vfs::OperationEvent& event);
+  /// Op path: resolves `pid` to its scoreboard entry key (the family
+  /// root when family scoring is on) and, on first sight, records the
+  /// key for `pid` and for every ancestor between it and the root.
+  vfs::ProcessId record_key(vfs::ProcessId pid);
+  /// Query path: the key record_key() stored for `pid`, else `pid`.
+  [[nodiscard]] vfs::ProcessId recorded_key(vfs::ProcessId pid) const;
+  /// `pid`'s scoreboard entry (via recorded_key), or nullptr.
+  [[nodiscard]] const ProcessState* find_state(vfs::ProcessId pid) const;
+  /// `event.pid`'s scoreboard entry, created on first use.
+  ProcessState& state_for(const vfs::OperationEvent& event);
 
   /// Adds `points` to `proc`, bumps the per-indicator metrics, and (when
   /// the forensic ring has capacity) appends a TimelineEvent. `detail` is
@@ -319,8 +292,7 @@ class AnalysisEngine : public vfs::Filter {
   void score_write_entropy(ProcessState& proc, vfs::ProcessId pid, ByteView data,
                            const std::string& path);
   /// Folds read-side content into every member's read mean (one backend
-  /// evaluation per member, under the entropy stage span/timer). Caller
-  /// holds the process's scoreboard shard lock.
+  /// evaluation per member, under the entropy stage span/timer).
   void fold_read_entropy(ProcessState& proc, ByteView data);
   /// Burst-rate bookkeeping for one modification touch of `id`.
   void note_modification(ProcessState& proc, vfs::ProcessId pid,
@@ -330,11 +302,9 @@ class AnalysisEngine : public vfs::Filter {
   void maybe_detect(ProcessState& proc, vfs::ProcessId pid, bool via_union);
 
   /// Captures the pre-image of file `id` (if not already captured).
-  /// Locks the file's shard; call with no file-shard lock held.
   void capture_baseline(vfs::FileId id, const std::shared_ptr<const Bytes>& content);
   /// Runs the type-change and similarity checks of `content` against the
-  /// tracked baseline of `id`, scoring `proc`. Locks the file's shard;
-  /// call with the process shard lock held and no file-shard lock held.
+  /// tracked baseline of `id`, scoring `proc`.
   void evaluate_modification(ProcessState& proc, vfs::ProcessId pid, vfs::FileId id,
                              const std::string& path,
                              const std::shared_ptr<const Bytes>& content);
@@ -350,16 +320,17 @@ class AnalysisEngine : public vfs::Filter {
   /// Registers every engine metric with `metrics_` and caches the
   /// instrument pointers used on the hot path (constructor only).
   void register_metrics();
-  /// Walks the file shards (and the shared digest cache, if enabled) to
-  /// bring the point-in-time gauges up to date before a metrics snapshot.
-  void refresh_gauges(std::size_t tracked_processes) const;
+  /// Brings the point-in-time gauges (table sizes, the shared digest
+  /// cache if enabled, the buffer pool) up to date before a metrics
+  /// snapshot. Called with `mu_` released: the sizes are passed in.
+  void refresh_gauges(std::size_t tracked_processes, std::size_t tracked_files) const;
   /// Copies one scoreboard entry's forensic ring into a standalone
-  /// timeline. Call with `key`'s shard lock held.
+  /// timeline.
   [[nodiscard]] obs::ForensicTimeline make_forensic(vfs::ProcessId key,
                                                     const ProcessState& proc) const;
   /// Builds the report for scoreboard entry `key`, labelled `pid` (the
   /// queried pid, which differs from `key` for a child under family
-  /// scoring). Call with `key`'s shard lock held.
+  /// scoring).
   [[nodiscard]] ProcessReport make_report(vfs::ProcessId pid, vfs::ProcessId key,
                                           const ProcessState& proc) const;
   /// magic::identify wrapped in the magic_sniff stage timer.
@@ -389,8 +360,14 @@ class AnalysisEngine : public vfs::Filter {
   /// suspended pid keep-all in the sampler. Stage spans themselves nest
   /// via the thread-local current span, not this pointer.
   obs::SpanTracer* tracer_ = nullptr;
-  mutable std::array<ScoreboardShard, kScoreboardShards> scoreboard_shards_;
-  mutable std::array<FileShard, kFileShards> file_shards_;
+  /// The engine lock (rank 10): guards states_, files_ and keys_.
+  mutable common::RankedMutex<common::lockrank::kEngine> mu_;
+  std::map<vfs::ProcessId, ProcessState> states_;  ///< By scoreboard key.
+  std::map<vfs::FileId, FileState> files_;
+  /// pid -> scoreboard key, written by the op path (family scoring
+  /// only; without it every pid is its own key). Queries read it so
+  /// they never touch the volume another thread is driving.
+  std::map<vfs::ProcessId, vfs::ProcessId> keys_;
   std::function<void(const Alert&)> alert_callback_;
   std::atomic<std::uint64_t> op_seq_{0};
 

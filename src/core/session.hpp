@@ -27,9 +27,10 @@
 namespace cryptodrop::core {
 
 /// One monitored volume with its engine attached, RAII-style (see the
-/// file comment). Movable, not copyable; detaches on destruction. A
-/// session is single-owner: drive operations and queries from one thread,
-/// or rely on the engine's own thread-safety for concurrent queries.
+/// file comment). Movable, not copyable; detaches on destruction. One
+/// thread drives the session's operations (the volume has no lock);
+/// other threads may query the engine concurrently, since engine
+/// queries take the engine lock and never read the volume.
 class MonitorSession {
  public:
   /// A session over a pristine clone of `base` (the VM-snapshot-revert
@@ -74,7 +75,7 @@ class MonitorSession {
   [[nodiscard]] EngineSnapshot snapshot() const { return engine_->snapshot(); }
 
   /// "Why was pid X suspended?" — the process's forensic timeline
-  /// (forwards to AnalysisEngine::explain; locks one scoreboard shard).
+  /// (forwards to AnalysisEngine::explain; takes the engine lock).
   [[nodiscard]] obs::ForensicTimeline explain(vfs::ProcessId pid) const {
     return engine_->explain(pid);
   }

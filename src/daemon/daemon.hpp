@@ -25,8 +25,9 @@
 // rank kDaemonRegistry(3), each queue's mutex rank kDaemonQueue(4);
 // both sit below every engine rank, and workers release the queue lock
 // before executing an op, so no daemon lock is ever held across engine
-// work. Queries (verdicts/explain/metrics) ride the engine's own
-// thread-safe snapshot paths and may run concurrently with execution.
+// work. Queries (verdicts/explain/metrics) take the tenant engine's
+// lock, never read the tenant's volume, and may run concurrently with
+// execution.
 #pragma once
 
 #include <array>

@@ -75,8 +75,8 @@ class Accumulator {
 };
 
 /// One entropy statistic. Stateless and immutable after construction:
-/// score() is const and thread-safe, so the engine shares one instance
-/// across all of its shards.
+/// score() is const and thread-safe, so one instance may serve every
+/// process an engine scores.
 class Backend {
  public:
   virtual ~Backend() = default;

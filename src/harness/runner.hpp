@@ -6,8 +6,8 @@
 // clone of the victim volume, reverted between samples. Trials share
 // nothing mutable — FileSystem::clone() hands each one its own tree and
 // the file *content* is shared copy-on-write (immutable bytes, atomic
-// refcounts) — so N trials saturate N cores without locks beyond the
-// engine's own shards.
+// refcounts) — so N trials saturate N cores without locks beyond each
+// engine's own.
 //
 // Determinism contract: results are index-addressed (trial i writes
 // results[i]), every trial seeds its own Rng from the spec, and nothing

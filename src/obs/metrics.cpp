@@ -6,13 +6,6 @@
 
 namespace cryptodrop::obs {
 
-std::size_t metric_shard_index() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return index;
-}
-
 // --- snapshots ---------------------------------------------------------
 
 namespace {
@@ -123,27 +116,19 @@ Json to_json(const MetricsSnapshot& snapshot) {
 
 // --- histogram ---------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   assert(!bounds_.empty());
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
-  // One bucket per bound plus overflow, padded to a cache line so shards
-  // never share one.
-  stride_ = ((bounds_.size() + 1 + 7) / 8) * 8;
-  bucket_cells_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(stride_ * kMetricShards);
-  for (std::size_t i = 0; i < stride_ * kMetricShards; ++i) {
-    bucket_cells_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 void Histogram::record(double v) {
 #ifndef CRYPTODROP_NO_METRICS
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  const std::size_t shard = metric_shard_index();
-  bucket_cells_[shard * stride_ + bucket].fetch_add(1, std::memory_order_relaxed);
-  totals_[shard].count.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(totals_[shard].sum, v);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  atomic_add(sum_, v);
 #else
   (void)v;
 #endif
@@ -152,15 +137,12 @@ void Histogram::record(double v) {
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
   snap.bounds = bounds_;
-  snap.counts.assign(bounds_.size() + 1, 0);
-  for (std::size_t shard = 0; shard < kMetricShards; ++shard) {
-    for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-      snap.counts[b] +=
-          bucket_cells_[shard * stride_ + b].load(std::memory_order_relaxed);
-    }
-    snap.count += totals_[shard].count.load(std::memory_order_relaxed);
-    snap.sum += totals_[shard].sum.load(std::memory_order_relaxed);
+  snap.counts.reserve(buckets_.size());
+  for (const std::atomic<std::uint64_t>& bucket : buckets_) {
+    snap.counts.push_back(bucket.load(std::memory_order_relaxed));
   }
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -2,14 +2,14 @@
 // fixed-bucket histograms, built for the engine's hot path.
 //
 // Design (DESIGN.md §10):
-//  * Writes are sharded 16 ways (matching the engine's scoreboard/file
-//    sharding): each counter/histogram keeps one cache-line-aligned cell
-//    per shard, a thread picks its shard once (thread-local), and every
-//    increment is a single relaxed atomic add — no mutex, no contention
-//    between threads on different shards, TSan-clean.
-//  * Reads merge on snapshot: value() / snapshot() sum the cells. A
-//    snapshot is not a cross-metric atomic cut (each metric is summed
-//    independently); per-metric totals are exact.
+//  * One cell per instrument: a counter is one cache-line-aligned
+//    atomic, a histogram one bucket array plus one count and one sum,
+//    and every write is a relaxed atomic add — no mutex, TSan-clean.
+//    Each engine's registry is written by the one thread driving that
+//    engine; the daemon's registry, written by every worker, stays
+//    exact because relaxed adds on one cell never lose an increment.
+//  * A snapshot reads each instrument once. It is not a cross-metric
+//    atomic cut; per-metric totals are exact once writers quiesce.
 //  * Registration (registry.counter("name", ...)) is mutex-guarded and
 //    idempotent; hot paths hold direct references obtained once, so the
 //    registry lookup never appears on the operation path.
@@ -25,11 +25,9 @@
 // `indicator_events_total.entropy_delta`, `stage_latency_us.sdhash_digest`.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -47,17 +45,9 @@ inline constexpr bool kMetricsEnabled = false;
 inline constexpr bool kMetricsEnabled = true;
 #endif
 
-/// Write-side shard count; matches the engine's 16-way sharding so a
-/// workload that spreads across engine shards also spreads here.
-inline constexpr std::size_t kMetricShards = 16;
-
-/// This thread's metric shard (assigned round-robin on first use and
-/// cached thread-local; stable for the thread's lifetime).
-std::size_t metric_shard_index();
-
 // --- snapshots ---------------------------------------------------------
 
-/// Point-in-time value of one counter (merged across shards).
+/// Point-in-time value of one counter.
 struct CounterSnapshot {
   std::string name;
   std::string unit;
@@ -73,9 +63,9 @@ struct GaugeSnapshot {
   double value = 0.0;
 };
 
-/// Point-in-time state of one histogram (bucket counts merged across
-/// shards). `counts` has one entry per upper bound plus a final overflow
-/// bucket; a recorded value v lands in the first bucket with v <= bound.
+/// Point-in-time state of one histogram. `counts` has one entry per
+/// upper bound plus a final overflow bucket; a recorded value v lands
+/// in the first bucket with v <= bound.
 struct HistogramSnapshot {
   std::string name;
   std::string unit;
@@ -91,7 +81,7 @@ struct HistogramSnapshot {
   }
 };
 
-/// Everything one registry has measured, merged and self-describing.
+/// Everything one registry has measured, self-describing.
 /// Snapshots from different registries (e.g. one engine per parallel
 /// trial) combine with merge(); to_json() serializes for export.
 struct MetricsSnapshot {
@@ -119,35 +109,27 @@ Json to_json(const MetricsSnapshot& snapshot);
 
 // --- instruments -------------------------------------------------------
 
-/// Monotonically increasing event count. add() is one relaxed atomic
-/// increment on the calling thread's shard cell; value() sums the cells.
-/// Thread-safe; never negative.
+/// Monotonically increasing event count: one relaxed atomic on its own
+/// cache line. Thread-safe; never negative.
 class Counter {
  public:
   /// Adds `n` (relaxed; no ordering is implied toward other metrics).
   void add(std::uint64_t n = 1) {
 #ifndef CRYPTODROP_NO_METRICS
-    cells_[metric_shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
 #else
     (void)n;
 #endif
   }
 
-  /// Sum over all shard cells. Concurrent adds may or may not be
-  /// reflected (relaxed reads); the value is exact once writers quiesce.
+  /// The current count. Concurrent adds may or may not be reflected
+  /// (relaxed read); the value is exact once writers quiesce.
   [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Cell& cell : cells_) {
-      total += cell.v.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kMetricShards> cells_{};
+  alignas(64) std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value (table sizes, cache occupancy).
@@ -186,9 +168,8 @@ class Gauge {
 
 /// Fixed-bucket distribution. Bucket edges are upper bounds: a recorded
 /// value v lands in the first bucket with v <= bound, or the overflow
-/// bucket past the last bound. record() touches only the calling
-/// thread's shard (two relaxed adds + one CAS-add for the sum);
-/// thread-safe.
+/// bucket past the last bound. record() is two relaxed adds plus one
+/// CAS-add for the sum; thread-safe.
 class Histogram {
  public:
   /// `bounds` must be non-empty and strictly ascending.
@@ -197,24 +178,19 @@ class Histogram {
   /// Folds one sample into the distribution.
   void record(double v);
 
-  /// Bucket upper bounds (shared by every shard).
+  /// Bucket upper bounds.
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
 
-  /// Merged view of the distribution (name/help/unit fields left empty;
-  /// the registry fills them in its snapshot).
+  /// The distribution (name/help/unit fields left empty; the registry
+  /// fills them in its snapshot).
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-  };
-
   std::vector<double> bounds_;
-  std::size_t stride_ = 0;  ///< Padded per-shard bucket-array length.
-  /// kMetricShards consecutive bucket arrays of `stride_` atomics each.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> bucket_cells_;
-  std::array<Cell, kMetricShards> totals_{};
+  /// bounds_.size() + 1 counts (last = overflow).
+  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
 };
 
 /// RAII wall-clock timer: records the enclosing scope's duration, in
@@ -260,7 +236,7 @@ class ScopedTimer {
 /// Registration is mutex-guarded, idempotent by name, and returns
 /// references that stay valid for the registry's lifetime — callers
 /// register once (e.g. at engine construction) and mutate lock-free
-/// thereafter. snapshot() merges every instrument. Thread-safe.
+/// thereafter. snapshot() reads every instrument. Thread-safe.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -282,8 +258,8 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, std::string_view help,
                        std::string_view unit, std::vector<double> bounds);
 
-  /// Merged point-in-time view of every registered metric, in
-  /// registration order.
+  /// Point-in-time view of every registered metric, in registration
+  /// order.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Default bucket edges for stage-latency histograms: 1 µs … 65.536 ms

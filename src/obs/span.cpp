@@ -39,7 +39,7 @@ std::vector<std::string_view> known_span_names() {
 
 SpanTracer::SpanTracer(TraceOptions options) : options_(options) {
   per_shard_capacity_ =
-      std::max<std::size_t>(1, options_.ring_capacity / kMetricShards);
+      std::max<std::size_t>(1, options_.ring_capacity / kSpanShards);
   epoch_ns_ = steady_now_ns();
 }
 
@@ -63,7 +63,7 @@ void SpanTracer::force_pid(std::uint32_t pid) {
 }
 
 void SpanTracer::record(SpanRecord&& record) {
-  Shard& shard = shards_[trace_thread_index() % kMetricShards];
+  Shard& shard = shards_[trace_thread_index() % kSpanShards];
   std::lock_guard lock(shard.mu);
   ++shard.recorded;
   if (shard.ring.size() < per_shard_capacity_) {

@@ -8,19 +8,22 @@
 // stages nest beneath those. Docs call this layer "span tracing"
 // (docs/OBSERVABILITY.md) and the vfs layer "op record/replay".
 //
-// Design (DESIGN.md §12), following the MetricsRegistry discipline:
-//  * Writes are sharded 16 ways into bounded per-shard rings; a thread
-//    picks its shard once (dense thread index, cached thread-local) and
-//    a span close is one short mutex hold on that shard — never on the
-//    registry, never across threads on different shards.
+// Design (DESIGN.md §12):
+//  * Writes are sharded kSpanShards (16) ways into bounded per-shard
+//    rings, because one tracer may be written by many threads (the
+//    daemon's, by every worker); a thread picks its shard once (dense
+//    thread index, cached thread-local) and a span close is one short
+//    mutex hold on that shard — never across threads on different
+//    shards.
 //  * Reads merge on snapshot: snapshot() collects every shard's ring and
 //    sorts by (thread, start order). Harness code snapshots after a
 //    trial quiesces, so every span is closed by then.
-//  * Bounded spill policy: each shard ring holds ring_capacity/16
-//    records; when full, the oldest record is evicted (and counted in
-//    `dropped`). Children always close before their parents, so within
-//    a ring a child's record is strictly older than its parent's —
-//    eviction drops leaves first and never orphans a kept child.
+//  * Bounded spill policy: each shard ring holds
+//    ring_capacity / kSpanShards records; when full, the oldest record
+//    is evicted (and counted in `dropped`). Children always close
+//    before their parents, so within a ring a child's record is
+//    strictly older than its parent's — eviction drops leaves first
+//    and never orphans a kept child.
 //  * Deterministic identity: span ids derive from (pid, op index,
 //    within-op serial), where the op index is the virtual-clock
 //    timestamp divided by vfs::FileSystem::kOpCostMicros — never from
@@ -54,8 +57,12 @@ namespace cryptodrop::obs {
 
 /// Dense per-thread index (assigned on first use, stable for the
 /// thread's lifetime). Distinguishes threads in span records; two
-/// threads never share an index, unlike metric_shard_index().
+/// threads never share an index.
 std::size_t trace_thread_index();
+
+/// Write-side shard count of a SpanTracer: a thread records into ring
+/// trace_thread_index() % kSpanShards.
+inline constexpr std::size_t kSpanShards = 16;
 
 /// Span-name schema of record (docs/OBSERVABILITY.md "Span tracing";
 /// docs_check cross-checks the table there against known_span_names()
@@ -181,7 +188,7 @@ class SpanTracer {
 
  private:
   struct alignas(64) Shard {
-    /// Rank 60: a span close under scoreboard/file locks lands here.
+    /// Rank 60: a span close under the engine lock lands here.
     mutable common::RankedMutex<common::lockrank::kSpanShard> mu;
     std::vector<SpanRecord> ring;  ///< Circular once full.
     std::size_t head = 0;          ///< Next write position once full.
@@ -192,11 +199,11 @@ class SpanTracer {
   TraceOptions options_;
   std::size_t per_shard_capacity_ = 0;
   std::uint64_t epoch_ns_ = 0;
-  /// Rank 62: the verdict path takes it under a scoreboard shard.
+  /// Rank 62: the verdict path takes it under the engine lock.
   mutable common::RankedMutex<common::lockrank::kSpanForce> force_mu_;
   std::set<std::uint32_t> forced_;
   std::atomic<bool> any_forced_{false};
-  std::array<Shard, kMetricShards> shards_{};
+  std::array<Shard, kSpanShards> shards_{};
 };
 
 /// RAII span. Two forms:

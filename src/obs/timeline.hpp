@@ -17,7 +17,7 @@
 // numbers are per-process and survive eviction, so gaps are visible.
 //
 // Thread-safety: a TimelineRing is plain data. The engine stores one per
-// scoreboard entry and only touches it under that entry's shard lock.
+// scoreboard entry and only touches it under the engine lock.
 #pragma once
 
 #include <cstddef>

@@ -79,7 +79,7 @@ class DigestCache {
   };
 
   struct Shard {
-    /// Rank 30: acquired under an engine file shard on digest misses.
+    /// Rank 30: acquired under the engine lock on digest misses.
     mutable common::RankedMutex<common::lockrank::kDigestCache> mu;
     /// Most-recently-used entries at the front.
     std::list<std::pair<crypto::Sha256Digest, std::optional<SimilarityDigest>>> lru;

@@ -1,11 +1,15 @@
-// Concurrency coverage for the sharded AnalysisEngine (DESIGN.md §9).
+// Thread-safety coverage for AnalysisEngine (DESIGN.md §9).
 //
-// The event streams here are driven straight through the Filter
-// interface from multiple threads — the multi-threaded-VFS scenario the
-// scoreboard/file shards exist for. The streams stick to read, write
-// and remove events, which never consult the attached FileSystem, so no
-// engine is attached to one (the in-memory FileSystem itself stays
-// single-threaded by contract).
+// In production one thread drives a volume and its engine, and other
+// threads only query (the daemon's poll thread, harness progress
+// callbacks). The engine's one mutex must still keep it correct when
+// callbacks themselves come from several threads: these tests drive
+// event streams straight through the Filter interface from many
+// threads at once and check that the serialized result matches a
+// serial replay. The streams stick to read, write and remove events,
+// which never consult the attached FileSystem, so no engine is attached
+// to one (the in-memory FileSystem itself is single-threaded by
+// contract).
 //
 // Build with -DCRYPTODROP_SANITIZE=thread to run this file (and the
 // whole suite) under TSan.

@@ -1010,6 +1010,57 @@ TEST_F(DaemonTest, ExplainPidMustBeAnIntegerThatFits) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+TEST_F(DaemonTest, ExplainWhileSpawnsExecuteReadsNoVolumeState) {
+  // `explain` runs on the caller's thread while the tenant's worker
+  // grows the volume's process table. The engine resolves pids from the
+  // keys its op path recorded, never from the volume, so the two
+  // threads share no unlocked state (the TSan build checks this), and a
+  // pid no op has come from answers as itself.
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ASSERT_TRUE(daemon.attach("t").is_ok());
+  ASSERT_TRUE(daemon.spawn("t", 1, "root", 0).is_ok());
+  daemon.drain();
+  constexpr vfs::ProcessId kSpawns = 4000;
+  std::atomic<bool> querying{false};
+  std::atomic<bool> done{false};
+  std::thread querier([&] {
+    while (!done.load()) {
+      const Result<obs::ForensicTimeline> timeline = daemon.explain("t", 1);
+      EXPECT_TRUE(timeline.is_ok());
+      querying.store(true);
+    }
+  });
+  while (!querying.load()) std::this_thread::yield();
+  // A chain: each spawn is the previous one's child, so every live pid's
+  // family root is pid 1.
+  for (vfs::ProcessId pid = 2; pid <= kSpawns; ++pid) {
+    EXPECT_TRUE(daemon.spawn("t", pid, "worker", pid - 1).is_ok());
+  }
+  daemon.drain();
+  done.store(true);
+  querier.join();
+
+  // The tenant volume starts with no processes, so live pids equal the
+  // client's here.
+  const Result<obs::ForensicTimeline> unseen = daemon.explain("t", kSpawns);
+  ASSERT_TRUE(unseen.is_ok());
+  EXPECT_EQ(unseen.value().pid, kSpawns);
+  vfs::TraceEntry mkdir;
+  mkdir.op = vfs::OpType::mkdir;
+  mkdir.pid = kSpawns;
+  mkdir.path = "scratch/explain";
+  ASSERT_TRUE(daemon.submit("t", {mkdir}).is_ok());
+  daemon.drain();
+  // Once an op has come from the pid, it and its ancestors resolve to
+  // the family root.
+  for (const vfs::ProcessId pid : {kSpawns, kSpawns / 2}) {
+    const Result<obs::ForensicTimeline> seen = daemon.explain("t", pid);
+    ASSERT_TRUE(seen.is_ok());
+    EXPECT_EQ(seen.value().pid, 1u) << "pid " << pid;
+  }
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 TEST_F(DaemonTest, EventsCursorMustBeAnIntegerThatFits) {
   Daemon daemon(env->base_fs, small_options(1, 64));
   ControlDispatcher dispatcher(daemon);

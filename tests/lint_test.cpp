@@ -520,39 +520,40 @@ TEST(LintReport, EmptyStatsStillParse) {
 // Unchecked, the wrapper must be exactly a std::mutex — no per-object
 // cost in release builds.
 static_assert(sizeof(common::RankedMutex<1, false>) == sizeof(std::mutex));
-static_assert(sizeof(common::RankedSharedMutex<1, false>) ==
-              sizeof(std::shared_mutex));
 
 // Checked instantiations under test-friendly names (EXPECT_DEATH is a
 // macro — template-argument commas would split its argument list).
 using CheckedRank10 = common::RankedMutex<10, true>;
 using CheckedRank20 = common::RankedMutex<20, true>;
 using CheckedRank30 = common::RankedMutex<30, true>;
-using CheckedSharedRank10 = common::RankedSharedMutex<10, true>;
 
 TEST(RankedMutex, AscendingRanksAreLegal) {
-  CheckedRank10 scoreboard;
-  CheckedRank20 file_table;
-  std::lock_guard outer(scoreboard);
-  std::lock_guard inner(file_table);
+  CheckedRank10 engine;
+  CheckedRank20 leaf;
+  std::lock_guard outer(engine);
+  std::lock_guard inner(leaf);
   SUCCEED();
 }
 
-TEST(RankedMutex, SameRankAscendingAddressIsLegal) {
-  // The engine snapshot sweep: all shards of one rank, in index order.
-  CheckedRank10 shards[4];
-  for (auto& shard : shards) shard.lock();
-  for (int i = 3; i >= 0; --i) shards[i].unlock();
-  SUCCEED();
+TEST(RankedMutexDeathTest, AbortsOnSameRankAscendingAddress) {
+  // Ranks are strictly increasing: two locks of one rank are never held
+  // together, whatever their address order.
+  EXPECT_DEATH(
+      {
+        CheckedRank10 locks[2];
+        std::lock_guard outer(locks[0]);
+        std::lock_guard inner(locks[1]);
+      },
+      "lock-rank violation");
 }
 
 TEST(RankedMutexDeathTest, AbortsOnRankInversion) {
   EXPECT_DEATH(
       {
-        CheckedRank10 scoreboard;
-        CheckedRank20 file_table;
-        std::lock_guard outer(file_table);
-        std::lock_guard inner(scoreboard);
+        CheckedRank10 engine;
+        CheckedRank20 leaf;
+        std::lock_guard outer(leaf);
+        std::lock_guard inner(engine);
       },
       "lock-rank violation");
 }
@@ -560,9 +561,9 @@ TEST(RankedMutexDeathTest, AbortsOnRankInversion) {
 TEST(RankedMutexDeathTest, AbortsOnSameRankDescendingAddress) {
   EXPECT_DEATH(
       {
-        CheckedRank10 shards[2];
-        std::lock_guard outer(shards[1]);
-        std::lock_guard inner(shards[0]);
+        CheckedRank10 locks[2];
+        std::lock_guard outer(locks[1]);
+        std::lock_guard inner(locks[0]);
       },
       "lock-rank violation");
 }
@@ -570,10 +571,10 @@ TEST(RankedMutexDeathTest, AbortsOnSameRankDescendingAddress) {
 TEST(RankedMutexDeathTest, TryLockRespectsRankOrder) {
   EXPECT_DEATH(
       {
-        CheckedRank20 file_table;
-        CheckedRank10 scoreboard;
-        std::lock_guard outer(file_table);
-        (void)scoreboard.try_lock();  // succeeds, and must still abort
+        CheckedRank20 leaf;
+        CheckedRank10 engine;
+        std::lock_guard outer(leaf);
+        (void)engine.try_lock();  // succeeds, and must still abort
       },
       "lock-rank violation");
 }
@@ -587,24 +588,6 @@ TEST(RankedMutex, OutOfOrderReleaseUnwindsCorrectly) {
   CheckedRank30 c;
   std::lock_guard g(c);  // stack top is rank 20 — still legal
   b.unlock();
-}
-
-TEST(RankedSharedMutex, SharedAcquisitionsAreRankChecked) {
-  CheckedSharedRank10 table;
-  CheckedRank20 leaf;
-  table.lock_shared();
-  {
-    std::lock_guard g(leaf);
-  }
-  table.unlock_shared();
-  EXPECT_DEATH(
-      {
-        CheckedRank20 outer_leaf;
-        CheckedSharedRank10 inner_table;
-        std::lock_guard g(outer_leaf);
-        inner_table.lock_shared();
-      },
-      "lock-rank violation");
 }
 
 }  // namespace

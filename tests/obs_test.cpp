@@ -1,6 +1,7 @@
-// The observability layer: metric shard merging, histogram bucket
-// semantics, forensic timeline rings, engine.explain(), and the
-// determinism contract for metrics across job counts.
+// The observability layer: concurrent writers on one metric cell,
+// histogram bucket semantics, forensic timeline rings,
+// engine.explain(), and the determinism contract for metrics across job
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@ namespace {
 // --- instruments -------------------------------------------------------
 
 TEST(ObsCounter, SumsAcrossShardsAndThreads) {
+  // Eight writers on one cell: relaxed adds never lose an increment.
   SKIP_WITHOUT_METRICS();
   obs::Counter counter;
   constexpr int kThreads = 8;
@@ -81,6 +83,8 @@ TEST(ObsHistogram, BucketEdgesAreInclusiveUpperBounds) {
 }
 
 TEST(ObsHistogram, ShardMergeMatchesTotalAcrossThreads) {
+  // Eight writers on one bucket array: bucket counts add up to the
+  // sample count.
   SKIP_WITHOUT_METRICS();
   obs::Histogram hist(obs::MetricsRegistry::latency_buckets_us());
   constexpr int kThreads = 8;
