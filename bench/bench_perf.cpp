@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/kernels.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/text.hpp"
 #include "core/engine.hpp"
 #include "crypto/sha256.hpp"
@@ -748,7 +748,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   std::printf("kernel dispatch: simd=%s sha256=%s\n",
-              simd_backend_name(),
+              std::string(kernels::simd_backend_name()).c_str(),
               std::string(crypto::sha256_backend_name()).c_str());
   std::optional<Json> engine_latency = print_engine_internal_latency();
   std::optional<Json> ingestion = run_daemon_ingestion();
@@ -766,7 +766,7 @@ int main(int argc, char** argv) {
     doc.set("note",
             "single-machine baseline; compare ratios and orderings, not "
             "absolute wall times, across hosts");
-    doc.set("simd_backend", simd_backend_name());
+    doc.set("simd_backend", kernels::simd_backend_name());
     doc.set("sha256_backend", crypto::sha256_backend_name());
     doc.set("engine_internal", std::move(*engine_latency));
     doc.set("daemon_ingestion", std::move(*ingestion));

@@ -1,14 +1,11 @@
 #include "common/kernels.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstring>
 
-#include "common/simd.hpp"
-
-#if CRYPTODROP_SIMD_LEVEL == 2
-#include <immintrin.h>
-#elif CRYPTODROP_SIMD_LEVEL == 3
-#include <arm_neon.h>
+#if defined(__x86_64__) && defined(__GNUC__)
+#define CRYPTODROP_POPCNT_BUILD 1
 #endif
 
 namespace cryptodrop::kernels {
@@ -129,69 +126,14 @@ std::uint32_t and_popcount_reference(const std::uint64_t* a,
   return total;
 }
 
-#if CRYPTODROP_SIMD_LEVEL == 2
+namespace {
 
-// cryptodrop:hot
-std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t words) {
-  // Nibble-LUT shuffle popcount (Mula): per-byte counts via two PSHUFB
-  // table lookups, horizontal sum via SAD against zero. Exact integer
-  // counting — identical to hardware popcount by definition.
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i v = _mm256_and_si256(va, vb);
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    const __m256i cnt =
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint32_t total =
-      static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < words; ++i) {
-    total += static_cast<std::uint32_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-#elif CRYPTODROP_SIMD_LEVEL == 3
-
-// cryptodrop:hot
-std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t words) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= words; i += 2) {
-    const uint8x16_t va = vld1q_u8(reinterpret_cast<const std::uint8_t*>(a + i));
-    const uint8x16_t vb = vld1q_u8(reinterpret_cast<const std::uint8_t*>(b + i));
-    const uint8x16_t bits = vcntq_u8(vandq_u8(va, vb));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bits))));
-  }
-  std::uint32_t total = static_cast<std::uint32_t>(vgetq_lane_u64(acc, 0) +
-                                                   vgetq_lane_u64(acc, 1));
-  for (; i < words; ++i) {
-    total += static_cast<std::uint32_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-#else
-
-// cryptodrop:hot
-std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t words) {
-  // 4-way unroll: independent partial sums keep the popcount units busy.
+// Four-way unroll: independent partial sums keep the popcount units
+// busy. Always inlined, so each caller below compiles it for its own
+// target: without POPCNT in the target, each std::popcount is a libgcc
+// call (x86-64's baseline ISA lacks the instruction).
+[[gnu::always_inline]] inline std::uint32_t and_popcount_unrolled(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
   std::uint32_t c0 = 0;
   std::uint32_t c1 = 0;
   std::uint32_t c2 = 0;
@@ -210,7 +152,46 @@ std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
+#ifdef CRYPTODROP_POPCNT_BUILD
+
+[[gnu::target("popcnt")]] std::uint32_t and_popcount_popcnt(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
+  return and_popcount_unrolled(a, b, words);
+}
+
+bool popcnt_supported() { return __builtin_cpu_supports("popcnt"); }
+
+#else
+
+bool popcnt_supported() { return false; }
+
+#endif  // CRYPTODROP_POPCNT_BUILD
+
+std::atomic<bool> g_force_portable{false};
+
+bool use_popcnt() {
+  static const bool supported = popcnt_supported();
+  return supported && !g_force_portable.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+// cryptodrop:hot
+std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t words) {
+#ifdef CRYPTODROP_POPCNT_BUILD
+  if (use_popcnt()) return and_popcount_popcnt(a, b, words);
 #endif
+  return and_popcount_unrolled(a, b, words);
+}
+
+std::string_view simd_backend_name() {
+  return use_popcnt() ? "popcnt" : "portable";
+}
+
+bool force_portable(bool force) {
+  return g_force_portable.exchange(force, std::memory_order_relaxed);
+}
 
 void serial_lag1_sums_reference(const std::uint8_t* p, std::size_t n,
                                 std::uint64_t& sum_b, std::uint64_t& sum_b2,

@@ -1,4 +1,4 @@
-// Vectorized hot-path kernels shared by the indicator pipeline: byte
+// Hot-path kernels shared by the indicator pipeline: byte
 // histogramming (shannon / chi-square / DAA), FNV-1a feature hashing in
 // ILP lanes (simhash), distinct-byte screening (simhash feature
 // selection), lag-1 byte products (serial-correlation backend), and
@@ -9,21 +9,23 @@
 // kernel stays in the integer domain — reordering integer additions is
 // exact, unlike floating point. The golden-parity suite
 // (tests/kernel_parity_test.cpp) asserts it across randomized buffers of
-// every length mod 64, so a future SIMD variant cannot silently drift.
+// every length mod 64, so a future variant cannot silently drift.
 //
-// The portable implementations use SWAR (64-bit loads, sub-table
-// splitting, 4-way unrolled accumulator chains) and are the baseline on
-// every target; compile-time-detected SSE2/AVX2/NEON variants (see
-// common/simd.hpp) replace individual kernels where wide registers
-// actually help. Byte histogramming deliberately stays SWAR at every
-// level: the scatter-increment has no vector form, and splitting the
-// counts across four sub-tables to break store-forwarding stalls is the
-// known-best shape (cf. "Comparison of Entropy Calculation Methods",
-// arXiv 2210.13376, on histogram cost dominating entropy methods).
+// The implementations are portable C++: SWAR (64-bit loads, sub-table
+// splitting) and 4-way unrolled accumulator chains, the same code on
+// every target. The one kernel chosen at run time is and_popcount: on
+// x86-64 a POPCNT build of it runs when the CPU reports the
+// instruction, because the x86-64 baseline ISA has none and each
+// std::popcount there is a libgcc call. Byte histogramming has no
+// vector form (the scatter-increment), and splitting the counts across
+// four sub-tables to break store-forwarding stalls is the known-best
+// shape (cf. "Comparison of Entropy Calculation Methods", arXiv
+// 2210.13376, on histogram cost dominating entropy methods).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace cryptodrop::kernels {
 
@@ -62,12 +64,22 @@ std::uint32_t and_popcount_reference(const std::uint64_t* a,
                                      const std::uint64_t* b,
                                      std::size_t words);
 
-/// AND+popcount over word arrays (bloom-filter overlap). AVX2 builds use
-/// the nibble-LUT shuffle popcount over 256-bit lanes; other builds use
-/// 4-way unrolled hardware popcount. Bit-identical everywhere: popcount
-/// is exact.
+/// AND+popcount over word arrays (bloom-filter overlap), 4-way
+/// unrolled. Runs the POPCNT build when the CPU has the instruction
+/// (checked once), else the portable one. Bit-identical everywhere:
+/// popcount is exact.
 std::uint32_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t words);
+
+/// Name of the and_popcount variant in use: "popcnt" when the CPU's
+/// POPCNT instruction was detected (x86-64 only), else "portable".
+/// bench_perf records it as `simd_backend`.
+std::string_view simd_backend_name();
+
+/// Test hook: when true, and_popcount takes the portable path even on
+/// POPCNT hardware, so the parity tests can run both variants in one
+/// process. Returns the previous setting.
+bool force_portable(bool force);
 
 /// Scalar reference for the serial-correlation sums: per-byte loop
 /// accumulating Σb, Σb², and the non-circular lag-1 product

@@ -60,8 +60,10 @@ std::uint64_t prime_rolling(ByteView data) {
 
 }  // namespace
 
-std::uint32_t SimilarityDigest::Filter::popcount() const {
-  return kernels::and_popcount(bits.data(), bits.data(), bits.size());
+void SimilarityDigest::count_set_bits() {
+  for (Filter& f : filters_) {
+    f.set_bits = kernels::and_popcount(f.bits.data(), f.bits.data(), f.bits.size());
+  }
 }
 
 void SimilarityDigest::insert_feature(std::uint64_t h) {
@@ -148,6 +150,7 @@ std::optional<SimilarityDigest> SimilarityDigest::compute(ByteView data) {
   // Too few features to be statistically meaningful (e.g. a file of one
   // repeated byte): no digest, same as sdhash on degenerate input.
   if (digest.feature_count_ < 6) return std::nullopt;
+  digest.count_set_bits();
   return digest;
 }
 
@@ -176,6 +179,7 @@ std::optional<SimilarityDigest> SimilarityDigest::compute_reference(
   }
 
   if (digest.feature_count_ < 6) return std::nullopt;
+  digest.count_set_bits();
   return digest;
 }
 
@@ -190,8 +194,8 @@ bool SimilarityDigest::operator==(const SimilarityDigest& other) const {
 }
 
 int SimilarityDigest::compare_filters(const Filter& a, const Filter& b) {
-  const std::uint32_t pa = a.popcount();
-  const std::uint32_t pb = b.popcount();
+  const std::uint32_t pa = a.set_bits;
+  const std::uint32_t pb = b.set_bits;
   if (pa == 0 || pb == 0) return 0;
 
   const std::uint32_t overlap =

@@ -72,10 +72,19 @@ class SimilarityDigest {
   struct Filter {
     std::array<std::uint64_t, kFilterBits / 64> bits{};
     std::uint32_t features = 0;
-    [[nodiscard]] std::uint32_t popcount() const;
+    /// Set bits in `bits`, counted once when the digest is finished so
+    /// that compare() does one AND+popcount per filter pair.
+    std::uint32_t set_bits = 0;
   };
+  // The count fills the padding after `features`, so a filter stays
+  // 264 bytes.
+  static_assert(sizeof(Filter) == kFilterBits / 8 + 8);
 
   static int compare_filters(const Filter& a, const Filter& b);
+
+  /// Fills every filter's `set_bits`; the last step of both compute
+  /// forms.
+  void count_set_bits();
 
   /// Folds one feature hash into the current filter, rolling over to a
   /// fresh filter at kFeaturesPerFilter (shared by both compute forms so

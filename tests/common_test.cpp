@@ -76,24 +76,50 @@ TEST(Hex, DecodeMatchesScalarReferenceOnEveryBytePair) {
     if (c >= 'A' && c <= 'F') return c - 'A' + 10;
     return -1;
   };
+  // 66 valid digits in both cases: the decoder's 32-char steps and its
+  // tail each see the pair at some even offset.
+  const std::string filler =
+      "0123456789abcdefABCDEF0123456789abcdefABCDEF0123456789abcdefABCDEF";
+  Bytes filler_bytes;
+  for (std::size_t i = 0; i < filler.size(); i += 2) {
+    filler_bytes.push_back(
+        static_cast<std::uint8_t>(nibble(filler[i]) * 16 + nibble(filler[i + 1])));
+  }
+  std::string input = filler;
   for (int a = 0; a < 256; ++a) {
     for (int b = 0; b < 256; ++b) {
       const std::string pair = {static_cast<char>(a), static_cast<char>(b)};
       const int hi = nibble(pair[0]);
       const int lo = nibble(pair[1]);
+      const bool valid = hi >= 0 && lo >= 0;
+      const auto value = static_cast<std::uint8_t>(hi * 16 + lo);
       // Bare, and between valid digits so a bad byte anywhere rejects.
-      for (const std::string& input : {pair, "0f" + pair + "A9"}) {
-        const auto decoded = hex_decode(input);
-        if (hi < 0 || lo < 0) {
+      for (const std::string& short_input : {pair, "0f" + pair + "A9"}) {
+        const auto decoded = hex_decode(short_input);
+        if (!valid) {
           EXPECT_FALSE(decoded.has_value()) << a << "," << b;
           continue;
         }
         ASSERT_TRUE(decoded.has_value()) << a << "," << b;
-        const Bytes expected =
-            input.size() == 2
-                ? Bytes{static_cast<std::uint8_t>(hi * 16 + lo)}
-                : Bytes{0x0f, static_cast<std::uint8_t>(hi * 16 + lo), 0xa9};
+        const Bytes expected = short_input.size() == 2
+                                   ? Bytes{value}
+                                   : Bytes{0x0f, value, 0xa9};
         EXPECT_EQ(*decoded, expected) << a << "," << b;
+      }
+      for (std::size_t off = 0; off < filler.size(); off += 2) {
+        input[off] = pair[0];
+        input[off + 1] = pair[1];
+        const auto decoded = hex_decode(input);
+        input[off] = filler[off];
+        input[off + 1] = filler[off + 1];
+        if (!valid) {
+          EXPECT_FALSE(decoded.has_value()) << a << "," << b << " @" << off;
+          continue;
+        }
+        ASSERT_TRUE(decoded.has_value()) << a << "," << b << " @" << off;
+        Bytes expected = filler_bytes;
+        expected[off / 2] = value;
+        EXPECT_EQ(*decoded, expected) << a << "," << b << " @" << off;
       }
     }
     // Odd lengths are rejected whatever the bytes.
@@ -101,6 +127,34 @@ TEST(Hex, DecodeMatchesScalarReferenceOnEveryBytePair) {
     EXPECT_FALSE(hex_decode("00" + std::string(1, static_cast<char>(a))).has_value());
   }
   EXPECT_EQ(hex_decode(""), std::optional<Bytes>(Bytes{}));
+}
+
+TEST(Hex, RoundTripsEveryLengthInBothCases) {
+  const auto reference_encode = [](const Bytes& data) {
+    std::string out;
+    for (const std::uint8_t b : data) {
+      out.push_back("0123456789abcdef"[b >> 4]);
+      out.push_back("0123456789abcdef"[b & 0xf]);
+    }
+    return out;
+  };
+  Rng rng(96);
+  std::vector<Bytes> inputs;
+  for (std::size_t n = 0; n <= 96; ++n) inputs.push_back(rng.bytes(n));
+  Bytes every_value(256);
+  for (std::size_t i = 0; i < every_value.size(); ++i) {
+    every_value[i] = static_cast<std::uint8_t>(i);
+  }
+  inputs.push_back(every_value);
+  for (const Bytes& data : inputs) {
+    const std::string lower = hex_encode(ByteView(data));
+    EXPECT_EQ(lower, reference_encode(data)) << "n=" << data.size();
+    std::string upper = lower;
+    std::transform(upper.begin(), upper.end(), upper.begin(),
+                   [](char c) { return c >= 'a' && c <= 'f' ? static_cast<char>(c - 32) : c; });
+    EXPECT_EQ(hex_decode(lower), std::optional<Bytes>(data)) << "n=" << data.size();
+    EXPECT_EQ(hex_decode(upper), std::optional<Bytes>(data)) << "n=" << data.size();
+  }
 }
 
 TEST(Hex, EmptyIsEmpty) {

@@ -19,7 +19,6 @@
 #include "common/buffer_pool.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/text.hpp"
 #include "crypto/sha256.hpp"
 #include "entropy/backend.hpp"
@@ -118,17 +117,23 @@ TEST(KernelParity, HasMinDistinctMatchesExactCount) {
 }
 
 TEST(KernelParity, AndPopcountMatchesReference) {
-  Rng rng(2019);
-  for (std::size_t words = 0; words <= 64; ++words) {
-    std::vector<std::uint64_t> a(words);
-    std::vector<std::uint64_t> b(words);
-    for (std::size_t i = 0; i < words; ++i) {
-      a[i] = rng.next();
-      b[i] = rng.chance(0.3) ? ~std::uint64_t{0} : rng.next();
+  // Once with the variant the CPU selects, once with the portable one.
+  for (const bool portable : {false, true}) {
+    const bool prev = kernels::force_portable(portable);
+    SCOPED_TRACE(kernels::simd_backend_name());
+    Rng rng(2019);
+    for (std::size_t words = 0; words <= 64; ++words) {
+      std::vector<std::uint64_t> a(words);
+      std::vector<std::uint64_t> b(words);
+      for (std::size_t i = 0; i < words; ++i) {
+        a[i] = rng.next();
+        b[i] = rng.chance(0.3) ? ~std::uint64_t{0} : rng.next();
+      }
+      EXPECT_EQ(kernels::and_popcount(a.data(), b.data(), words),
+                kernels::and_popcount_reference(a.data(), b.data(), words))
+          << "words=" << words;
     }
-    EXPECT_EQ(kernels::and_popcount(a.data(), b.data(), words),
-              kernels::and_popcount_reference(a.data(), b.data(), words))
-        << "words=" << words;
+    kernels::force_portable(prev);
   }
 }
 
@@ -318,7 +323,7 @@ TEST(KernelParity, ConcurrentScoringMatchesSingleThread) {
   };
   std::vector<Expected> expected;
   for (const Bytes& data : fixtures) {
-    Expected e;
+    Expected e{};
     e.digest = simhash::SimilarityDigest::compute(ByteView(data));
     for (entropy::BackendKind kind : entropy::all_backend_kinds()) {
       e.scores[static_cast<std::size_t>(kind)] =
@@ -359,10 +364,16 @@ TEST(KernelParity, ConcurrentScoringMatchesSingleThread) {
 }
 
 TEST(KernelParity, SimdBackendNameIsKnown) {
-  const std::string_view name = simd_backend_name();
-  EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "neon" ||
-              name == "swar")
-      << name;
+  // The POPCNT variant runs whenever the CPU reports the instruction.
+#if defined(__x86_64__) && defined(__GNUC__)
+  const bool has_popcnt = __builtin_cpu_supports("popcnt") != 0;
+#else
+  const bool has_popcnt = false;
+#endif
+  EXPECT_EQ(kernels::simd_backend_name(), has_popcnt ? "popcnt" : "portable");
+  const bool prev = kernels::force_portable(true);
+  EXPECT_EQ(kernels::simd_backend_name(), "portable");
+  kernels::force_portable(prev);
   const std::string_view sha = crypto::sha256_backend_name();
   EXPECT_TRUE(sha == "sha_ni" || sha == "scalar") << sha;
 }

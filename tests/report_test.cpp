@@ -4,6 +4,9 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -34,6 +37,63 @@ TEST(Json, StringEscaping) {
   EXPECT_EQ(Json("a\\b").to_string(), "\"a\\\\b\"");
   EXPECT_EQ(Json("line\nbreak\t!").to_string(), "\"line\\nbreak\\t!\"");
   EXPECT_EQ(Json(std::string("ctl\x01", 4)).to_string(), "\"ctl\\u0001\"");
+}
+
+/// The per-character escaping rule the writer must reproduce.
+std::string escape_reference(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+/// `n` bytes that need no escaping, including the neighbours of the
+/// escaped ranges and bytes >= 0x80.
+std::string plain_string(std::size_t n) {
+  const std::string plain = " !#[]/aZ~\x7f\x80\xc3\xa9\xff";
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(plain[i % plain.size()]);
+  return out;
+}
+
+TEST(Json, EscapesEachSpecialByteAtEveryOffset) {
+  std::string escaped = "\"\\";
+  for (int c = 0; c < 0x20; ++c) escaped.push_back(static_cast<char>(c));
+  ASSERT_EQ(escaped.size(), 34u);
+  const std::string plain = plain_string(48);
+  for (const char c : escaped) {
+    for (std::size_t off = 0; off < plain.size(); ++off) {
+      std::string s = plain;
+      s[off] = c;
+      EXPECT_EQ(Json(s).to_string(), escape_reference(s))
+          << "byte " << static_cast<int>(c) << " @" << off;
+    }
+  }
+  // Every byte value in order: runs of consecutive escapes.
+  std::string all(256, '\0');
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<char>(i);
+  EXPECT_EQ(Json(all).to_string(), escape_reference(all));
+}
+
+TEST(Json, LongPlainStringIsWrittenVerbatim) {
+  const std::string s = plain_string(std::size_t{1} << 20);
+  EXPECT_EQ(Json(s).to_string(), "\"" + s + "\"");
 }
 
 TEST(Json, ObjectPreservesInsertionOrder) {

@@ -3,6 +3,10 @@
 // 512 bytes, robustness to edits and shifts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "corpus/generators.hpp"
@@ -170,6 +174,89 @@ TEST(Simhash, FilterCountGrowsWithInput) {
   ASSERT_TRUE(large.has_value());
   EXPECT_GT(large->filter_count(), small->filter_count());
   EXPECT_GT(large->feature_count(), small->feature_count());
+}
+
+struct ComparePair {
+  const char* name;
+  Bytes a;
+  Bytes b;
+  int golden_ab;  // a.compare(b)
+  int golden_ba;  // b.compare(a); differs when both have as many filters
+};
+
+/// Pairs spanning 1 to >= 100 filters per side and scores 0, mid and
+/// 100, with the scores compare() gave before the per-filter bit counts
+/// were cached and POPCNT was chosen at run time.
+std::vector<ComparePair> compare_pairs() {
+  const auto encrypt = [](const Bytes& plain) {
+    return crypto::chacha20_encrypt(to_bytes("key"), to_bytes("nonce"),
+                                    ByteView(plain));
+  };
+  const Bytes small = prose(30, 1500);
+  const Bytes doc = prose(31, 40000);
+  const Bytes blocks = prose(32, 64 * 1024);
+  const Bytes big = prose(33, 1200 * 1024);
+
+  Bytes half = doc;
+  const Bytes noise = Rng(34).bytes(doc.size() / 2);
+  std::copy(noise.begin(), noise.end(), half.end() - static_cast<std::ptrdiff_t>(noise.size()));
+  Bytes edited = doc;
+  for (std::size_t i = 20000; i < 20100; ++i) edited[i] ^= 0x55;
+  Bytes appended = doc;
+  append(appended, ByteView(prose(35, 6000)));
+  Bytes swapped;
+  Bytes reversed;
+  for (std::size_t pair = 0; pair + 1 < 16; pair += 2) {
+    append(swapped, ByteView(blocks).subspan((pair + 1) * 4096, 4096));
+    append(swapped, ByteView(blocks).subspan(pair * 4096, 4096));
+  }
+  for (std::size_t block = 16; block-- > 0;) {
+    append(reversed, ByteView(blocks).subspan(block * 4096, 4096));
+  }
+  Bytes big_after_small = small;
+  append(big_after_small, ByteView(big));
+
+  std::vector<ComparePair> pairs;
+  pairs.push_back({"small/self", small, small, 100, 100});
+  pairs.push_back({"small/ciphertext", small, encrypt(small), 0, 0});
+  pairs.push_back({"doc/half-rewritten", doc, half, 49, 53});
+  pairs.push_back({"doc/small-edit", doc, edited, 99, 99});
+  pairs.push_back({"doc/appended", doc, appended, 100, 100});
+  pairs.push_back({"blocks/swapped", blocks, swapped, 51, 51});
+  pairs.push_back({"blocks/reversed", blocks, reversed, 57, 56});
+  pairs.push_back({"big/self", big, big, 100, 100});
+  pairs.push_back({"big/ciphertext", big, encrypt(big), 0, 0});
+  pairs.push_back({"small/big-with-small-prefix", small, big_after_small, 100, 100});
+  pairs.push_back({"doc/unrelated-prose", doc, prose(36, 40000), 0, 0});
+  pairs.push_back({"random/random", Rng(37).bytes(80000), Rng(38).bytes(80000), 0, 0});
+  return pairs;
+}
+
+TEST(Simhash, CompareMatchesGoldenScores) {
+  const std::vector<ComparePair> pairs = compare_pairs();
+  std::size_t min_filters = SIZE_MAX;
+  std::size_t max_filters = 0;
+  // Once with the popcount variant the CPU selects, once with the
+  // portable one.
+  for (const bool portable : {false, true}) {
+    const bool prev = kernels::force_portable(portable);
+    SCOPED_TRACE(kernels::simd_backend_name());
+    for (const ComparePair& pair : pairs) {
+      const auto da = SimilarityDigest::compute(ByteView(pair.a));
+      const auto db = SimilarityDigest::compute(ByteView(pair.b));
+      if (!da || !db) {
+        ADD_FAILURE() << pair.name << " has no digest";
+        continue;
+      }
+      EXPECT_EQ(da->compare(*db), pair.golden_ab) << pair.name;
+      EXPECT_EQ(db->compare(*da), pair.golden_ba) << pair.name;
+      min_filters = std::min({min_filters, da->filter_count(), db->filter_count()});
+      max_filters = std::max({max_filters, da->filter_count(), db->filter_count()});
+    }
+    kernels::force_portable(prev);
+  }
+  EXPECT_EQ(min_filters, 1u);
+  EXPECT_GE(max_filters, 100u);
 }
 
 TEST(Simhash, DeterministicDigest) {
