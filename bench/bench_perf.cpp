@@ -281,9 +281,10 @@ std::optional<Json> print_engine_internal_latency() {
     stages.set(h.name, std::move(stage));
   }
   // The repaired close-path ratio, pinned. Close is where the engine
-  // re-measures a modified file; with digest retention + the shared
-  // digest cache it must sit within 3x of the write mean (the perf
-  // baseline shipped with a 12x outlier: 192.5us close vs 15.9us write).
+  // re-measures a modified file; with digest retention + the digest
+  // memo on each content buffer it must sit within 3x of the write mean
+  // (the perf baseline shipped with a 12x outlier: 192.5us close vs
+  // 15.9us write).
   const obs::HistogramSnapshot write = dispatch(vfs::OpType::write);
   const obs::HistogramSnapshot close = dispatch(vfs::OpType::close);
   const double ratio = write.mean() > 0.0 ? close.mean() / write.mean() : 0.0;
@@ -527,43 +528,56 @@ std::optional<Json> run_backend_scoring_costs() {
   constexpr std::size_t kBufBytes = 64 * 1024;
   constexpr int kCalls = 64;
   constexpr int kReps = 9;  // best-of, same policy as the tracing gate
+  // The gated pair runs many short reps instead: on a shared host a
+  // short rep is likelier to land in a quiet stretch.
+  constexpr int kGateCalls = 4;
+  constexpr int kGateReps = 401;
   Rng rng(41);
   const Bytes prose = to_bytes(synth_prose(rng, kBufBytes));
   const Bytes random = rng.bytes(kBufBytes);
 
-  // Best-of-reps nanoseconds for one pass over both buffers.
-  const auto time_ns = [&](auto&& fn) {
-    double best = 1e18;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto begin = std::chrono::steady_clock::now();
-      for (int i = 0; i < kCalls; ++i) {
-        benchmark::DoNotOptimize(fn(ByteView(prose)));
-        benchmark::DoNotOptimize(fn(ByteView(random)));
-      }
-      const auto end = std::chrono::steady_clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::nano>(end - begin).count() /
-                    (2.0 * kCalls));
+  // Nanoseconds per call over `calls` passes across both buffers.
+  const auto pass_ns = [&](int calls, auto&& fn) {
+    const auto begin = std::chrono::steady_clock::now();
+    for (int i = 0; i < calls; ++i) {
+      benchmark::DoNotOptimize(fn(ByteView(prose)));
+      benchmark::DoNotOptimize(fn(ByteView(random)));
     }
-    return best;
+    const auto end = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(end - begin).count() / (2.0 * calls);
   };
+
+  // The gated pair alternates rep by rep (direct, interface, direct,
+  // ...) and keeps each side's best, so a change in host speed during
+  // the run reaches both sides alike instead of reading as overhead.
+  const auto shannon = entropy::make_backend(entropy::BackendKind::shannon);
+  double direct_ns = 1e18;
+  double shannon_backend_ns = 1e18;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    direct_ns = std::min(
+        direct_ns, pass_ns(kGateCalls, [](ByteView data) { return entropy::shannon(data); }));
+    shannon_backend_ns =
+        std::min(shannon_backend_ns,
+                 pass_ns(kGateCalls, [&](ByteView data) { return shannon->score(data); }));
+  }
 
   std::printf("\n== entropy-backend scoring cost (64 KiB buffer) ==\n");
   std::printf("%-22s %14s\n", "backend", "ns / call");
-  const double direct_ns =
-      time_ns([](ByteView data) { return entropy::shannon(data); });
   std::printf("%-22s %14.0f\n", "(direct shannon)", direct_ns);
 
   Json costs = Json::object();
   costs.set("direct_shannon_ns", direct_ns);
-  double shannon_backend_ns = 0.0;
   for (entropy::BackendKind kind : entropy::all_backend_kinds()) {
     const auto backend = entropy::make_backend(kind);
-    const double ns =
-        time_ns([&](ByteView data) { return backend->score(data); });
+    double ns = shannon_backend_ns;
+    if (kind != entropy::BackendKind::shannon) {
+      ns = 1e18;
+      for (int rep = 0; rep < kReps; ++rep) {
+        ns = std::min(ns, pass_ns(kCalls, [&](ByteView data) { return backend->score(data); }));
+      }
+    }
     std::printf("%-22s %14.0f\n", std::string(backend->name()).c_str(), ns);
     costs.set(std::string(backend->name()) + "_ns", ns);
-    if (kind == entropy::BackendKind::shannon) shannon_backend_ns = ns;
   }
 
   const double overhead_pct =
@@ -593,30 +607,24 @@ std::optional<Json> run_tracing_overhead_guardrail() {
   constexpr int kOpsPerRep = 192;
   constexpr int kReps = 7;  // best-of: the quietest rep, per config
 
-  const auto run_batch = [&](obs::SpanTracer* tracer) {
-    double best_us = 1e18;
-    for (int rep = 0; rep < kReps; ++rep) {
-      PerfFixture fx(/*with_engine=*/true, tracer);
-      // Payloads generated outside the timed region, identically seeded
-      // for every config and rep.
-      Rng payload_rng(17);
-      std::vector<Bytes> payloads;
-      payloads.reserve(kOpsPerRep);
-      for (int i = 0; i < kOpsPerRep; ++i) {
-        payloads.push_back(to_bytes(synth_prose(payload_rng, 64 * 1024)));
-      }
-      const auto begin = std::chrono::steady_clock::now();
-      for (int i = 0; i < kOpsPerRep; ++i) {
-        auto h = fx.fs.open(fx.pid, fx.doc(i), vfs::kRead | vfs::kWrite);
-        (void)fx.fs.write(fx.pid, h.value(), ByteView(payloads[static_cast<std::size_t>(i)]));
-        (void)fx.fs.close(fx.pid, h.value());
-      }
-      const auto end = std::chrono::steady_clock::now();
-      const double us =
-          std::chrono::duration<double, std::micro>(end - begin).count();
-      best_us = std::min(best_us, us);
+  // Payloads generated once, outside the timed region; every config and
+  // rep writes the same ones.
+  Rng payload_rng(17);
+  std::vector<Bytes> payloads;
+  payloads.reserve(kOpsPerRep);
+  for (int i = 0; i < kOpsPerRep; ++i) {
+    payloads.push_back(to_bytes(synth_prose(payload_rng, 64 * 1024)));
+  }
+  const auto run_rep = [&](obs::SpanTracer* tracer) {
+    PerfFixture fx(/*with_engine=*/true, tracer);
+    const auto begin = std::chrono::steady_clock::now();
+    for (int i = 0; i < kOpsPerRep; ++i) {
+      auto h = fx.fs.open(fx.pid, fx.doc(i), vfs::kRead | vfs::kWrite);
+      (void)fx.fs.write(fx.pid, h.value(), ByteView(payloads[static_cast<std::size_t>(i)]));
+      (void)fx.fs.close(fx.pid, h.value());
     }
-    return best_us;
+    const auto end = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::micro>(end - begin).count();
   };
 
   obs::TraceOptions sampled_options;
@@ -625,12 +633,23 @@ std::optional<Json> run_tracing_overhead_guardrail() {
   obs::TraceOptions full_options;
   full_options.enabled = true;
   full_options.sample_every = 1;
-
-  const double off_us = run_batch(nullptr);
   obs::SpanTracer sampled_tracer(sampled_options);
-  const double sampled_us = run_batch(&sampled_tracer);
   obs::SpanTracer full_tracer(full_options);
-  const double full_us = run_batch(&full_tracer);
+
+  // The configs alternate rep by rep, each round in a rotated order, and
+  // each keeps its best, so a change in host speed during the run, or a
+  // rep's cost left to the one after it, reaches all three alike.
+  std::array<obs::SpanTracer*, 3> tracers{nullptr, &sampled_tracer, &full_tracer};
+  std::array<double, 3> best_us{1e18, 1e18, 1e18};
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t k = 0; k < tracers.size(); ++k) {
+      const std::size_t config = (k + static_cast<std::size_t>(rep)) % tracers.size();
+      best_us[config] = std::min(best_us[config], run_rep(tracers[config]));
+    }
+  }
+  const double off_us = best_us[0];
+  const double sampled_us = best_us[1];
+  const double full_us = best_us[2];
 
   const auto overhead = [&](double us) {
     return off_us > 0.0 ? 100.0 * (us - off_us) / off_us : 0.0;

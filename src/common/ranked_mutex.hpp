@@ -52,9 +52,6 @@ inline constexpr unsigned kDaemonJournal = 5;
 /// The analysis engine's one lock (scoreboard, file baselines, pid
 /// keys): every engine callback and every engine query takes it once.
 inline constexpr unsigned kEngine = 10;
-/// Shared digest-cache shard; acquired under the engine lock when a
-/// miss computes a digest mid-evaluation.
-inline constexpr unsigned kDigestCache = 30;
 /// MetricsRegistry registration/snapshot lock (never on the op path).
 inline constexpr unsigned kMetricsRegistry = 50;
 /// Span-tracer shard ring; a span close under the engine lock lands

@@ -186,13 +186,6 @@ struct ScoringConfig {
   /// turns recording off.
   std::size_t timeline_capacity = 128;
 
-  /// Serve baseline similarity digests from the process-wide cache keyed
-  /// by content hash. The experiment zoo reuses one corpus across
-  /// hundreds of trials; copy-on-write means every trial's pristine
-  /// baselines are byte-identical, so each distinct content is digested
-  /// once instead of once per trial.
-  bool share_digest_cache = true;
-
   /// Checks the configuration for values the scoring model cannot
   /// meaningfully run with (negative points, a union threshold above the
   /// base threshold, an empty protected root, zero-size windows).

@@ -120,7 +120,7 @@ void AnalysisEngine::register_metrics() {
       "files");
   m_digests_ = &metrics_.counter(
       "similarity_digests_total",
-      "Similarity digests obtained (computed, or served by the shared cache)",
+      "Similarity digests obtained (computed, or served by a content's memo)",
       "digests");
   m_degraded_ = &metrics_.counter(
       "degraded_measurements_total",
@@ -185,18 +185,6 @@ void AnalysisEngine::register_metrics() {
   g_files_ = &metrics_.gauge(
       "files_tracked", "Files with a captured baseline at the last snapshot",
       "files");
-  g_cache_hits_ = &metrics_.gauge(
-      "digest_cache_hits", "Shared digest-cache hits (process-wide cache)",
-      "lookups");
-  g_cache_misses_ = &metrics_.gauge(
-      "digest_cache_misses", "Shared digest-cache misses (process-wide cache)",
-      "lookups");
-  g_cache_entries_ = &metrics_.gauge(
-      "digest_cache_entries", "Digests resident in the shared cache",
-      "digests");
-  g_cache_evictions_ = &metrics_.gauge(
-      "digest_cache_evictions", "Digests evicted from the shared cache",
-      "digests");
   g_pool_acquires_ = &metrics_.gauge(
       "buffer_pool_acquires", "Scratch-buffer acquisitions (process-wide pool)",
       "buffers");
@@ -348,13 +336,6 @@ void AnalysisEngine::refresh_gauges(std::size_t tracked_processes,
                                     std::size_t tracked_files) const {
   g_processes_->set(static_cast<double>(tracked_processes));
   g_files_->set(static_cast<double>(tracked_files));
-  if (config_.share_digest_cache) {
-    const simhash::DigestCacheStats stats = simhash::DigestCache::global().stats();
-    g_cache_hits_->set(static_cast<double>(stats.hits));
-    g_cache_misses_->set(static_cast<double>(stats.misses));
-    g_cache_entries_->set(static_cast<double>(stats.entries));
-    g_cache_evictions_->set(static_cast<double>(stats.evictions));
-  }
   const BufferPoolStats pool = buffer_pool_stats();
   g_pool_acquires_->set(static_cast<double>(pool.acquires));
   g_pool_hits_->set(static_cast<double>(pool.hits));
@@ -504,7 +485,7 @@ void AnalysisEngine::maybe_detect(ProcessState& proc, vfs::ProcessId pid,
 }
 
 void AnalysisEngine::capture_baseline(vfs::FileId id,
-                                      const std::shared_ptr<const Bytes>& content) {
+                                      const std::shared_ptr<const vfs::Content>& content) {
   if (id == vfs::kNoFile) return;
   if (content == nullptr) {
     // The file exists but its content could not be read back (e.g. the
@@ -543,26 +524,22 @@ bool AnalysisEngine::mark_pending_check(vfs::FileId id) {
   return true;
 }
 
-std::optional<simhash::SimilarityDigest> AnalysisEngine::baseline_digest_for(
-    ByteView data) const {
+std::optional<simhash::SimilarityDigest> AnalysisEngine::digest_of(
+    const vfs::Content& content) const {
   // Both baseline and post-modification digests flow through here.
-  // Corpus baselines recur across trials (the zoo reuses one corpus for
-  // hundreds of runs) and modified content recurs within runs (autosave
-  // rotations, identically keyed re-encryption); the shared cache
-  // computes each distinct content's digest once, process-wide.
+  // Corpus baselines are one buffer shared by every trial and tenant
+  // cloned from the corpus, so the buffer's memo computes each one's
+  // digest once, process-wide.
   obs::ScopedSpan span(obs::span_name::kSdhashDigest);
-  if (span.active()) span.arg("bytes", static_cast<double>(data.size()));
+  if (span.active()) span.arg("bytes", static_cast<double>(content.size()));
   obs::ScopedTimer timer(h_sdhash_);
   m_digests_->add();
-  if (config_.share_digest_cache) {
-    return simhash::DigestCache::global().get_or_compute(data);
-  }
-  return simhash::SimilarityDigest::compute(data);
+  return simhash::memoized_digest(content);
 }
 
 void AnalysisEngine::evaluate_modification(
     ProcessState& proc, vfs::ProcessId pid, vfs::FileId id,
-    const std::string& path, const std::shared_ptr<const Bytes>& content) {
+    const std::string& path, const std::shared_ptr<const vfs::Content>& content) {
   if (id == vfs::kNoFile) return;
   if (content == nullptr) {
     // Post-modification content unreadable: the type/similarity checks
@@ -590,19 +567,18 @@ void AnalysisEngine::evaluate_modification(
 
   if (config_.enable_similarity) {
     if (!file.digest_attempted) {
-      file.baseline_digest = baseline_digest_for(ByteView(*file.baseline));
+      file.baseline_digest = digest_of(*file.baseline);
       file.digest_attempted = true;
       // Undigestible baseline (sub-512-byte files yield no sdhash):
       // similarity is silent for this file until the baseline changes.
       if (!file.baseline_digest.has_value()) m_degraded_->add();
     }
     if (file.baseline_digest.has_value()) {
-      // Through the shared cache like the baseline digest: repeated
-      // content (autosave rotations, re-encryption of one corpus across
-      // trials) then costs one SHA-256 key instead of a full rolling
-      // feature scan. The cache is content-addressed, so a hit can
-      // never be stale (tests/chaos_test.cpp pins truncate-then-rewrite).
-      new_digest = baseline_digest_for(ByteView(*content));
+      // Through the buffer's memo like the baseline digest. A buffer
+      // never changes while the engine holds it, and every rewrite makes
+      // a new buffer with an empty memo, so a memoized digest can never
+      // be stale (tests/chaos_test.cpp pins truncate-then-rewrite).
+      new_digest = digest_of(*content);
       new_digest_computed = true;
       // Both versions must be digestible; sdhash yields no score for
       // sub-512-byte files, leaving this indicator silent (§V-C).
@@ -660,11 +636,9 @@ void AnalysisEngine::evaluate_modification(
   file.baseline_type = type_now;
   if (new_digest_computed && new_digest.has_value()) {
     // The digest of the content that just became the baseline was
-    // computed three lines ago for the similarity comparison. Dropping
-    // it here was the close-path outlier: the *next* measured close of
-    // this file re-digested the identical bytes from scratch, roughly
-    // doubling (on cache hit, ~tripling) the cost of every close after
-    // the first. Keep it — same value the reset path would recompute.
+    // obtained above for the similarity comparison. Keep it, so the
+    // *next* measured close of this file does not look the same bytes
+    // up again — same value the reset path would fetch.
     file.baseline_digest = std::move(new_digest);
     file.digest_attempted = true;
   } else {

@@ -256,7 +256,7 @@ class AnalysisEngine : public vfs::Filter {
   /// Pre-modification snapshot of a protected file, keyed by FileId so it
   /// survives renames and directory moves.
   struct FileState {
-    std::shared_ptr<const Bytes> baseline;  ///< Content before modification.
+    std::shared_ptr<const vfs::Content> baseline;  ///< Content before modification.
     magic::TypeId baseline_type = magic::TypeId::empty;
     /// Lazily computed digest of `baseline` (similarity comparisons are
     /// the engine's most expensive step; skip them until needed).
@@ -302,15 +302,16 @@ class AnalysisEngine : public vfs::Filter {
   void maybe_detect(ProcessState& proc, vfs::ProcessId pid, bool via_union);
 
   /// Captures the pre-image of file `id` (if not already captured).
-  void capture_baseline(vfs::FileId id, const std::shared_ptr<const Bytes>& content);
+  void capture_baseline(vfs::FileId id, const std::shared_ptr<const vfs::Content>& content);
   /// Runs the type-change and similarity checks of `content` against the
   /// tracked baseline of `id`, scoring `proc`.
   void evaluate_modification(ProcessState& proc, vfs::ProcessId pid, vfs::FileId id,
                              const std::string& path,
-                             const std::shared_ptr<const Bytes>& content);
-  /// Computes (or fetches from the shared digest cache) `data`'s digest.
-  [[nodiscard]] std::optional<simhash::SimilarityDigest> baseline_digest_for(
-      ByteView data) const;
+                             const std::shared_ptr<const vfs::Content>& content);
+  /// `content`'s digest, from its memo or computed and memoized, timed
+  /// and counted as one sdhash stage.
+  [[nodiscard]] std::optional<simhash::SimilarityDigest> digest_of(
+      const vfs::Content& content) const;
   /// Drops file `id` from the baseline table.
   void forget_file(vfs::FileId id);
   /// Marks `id` for comparison at close/rename time. Returns false when
@@ -320,9 +321,9 @@ class AnalysisEngine : public vfs::Filter {
   /// Registers every engine metric with `metrics_` and caches the
   /// instrument pointers used on the hot path (constructor only).
   void register_metrics();
-  /// Brings the point-in-time gauges (table sizes, the shared digest
-  /// cache if enabled, the buffer pool) up to date before a metrics
-  /// snapshot. Called with `mu_` released: the sizes are passed in.
+  /// Brings the point-in-time gauges (table sizes, the buffer pool) up
+  /// to date before a metrics snapshot. Called with `mu_` released: the
+  /// sizes are passed in.
   void refresh_gauges(std::size_t tracked_processes, std::size_t tracked_files) const;
   /// Copies one scoreboard entry's forensic ring into a standalone
   /// timeline.
@@ -393,10 +394,6 @@ class AnalysisEngine : public vfs::Filter {
   obs::Histogram* h_close_measure_ = nullptr;
   obs::Gauge* g_processes_ = nullptr;
   obs::Gauge* g_files_ = nullptr;
-  obs::Gauge* g_cache_hits_ = nullptr;
-  obs::Gauge* g_cache_misses_ = nullptr;
-  obs::Gauge* g_cache_entries_ = nullptr;
-  obs::Gauge* g_cache_evictions_ = nullptr;
   obs::Gauge* g_pool_acquires_ = nullptr;
   obs::Gauge* g_pool_hits_ = nullptr;
   obs::Gauge* g_pool_bytes_retained_ = nullptr;

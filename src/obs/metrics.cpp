@@ -18,15 +18,6 @@ const T* find_by_name(const std::vector<T>& entries, std::string_view name) {
   return nullptr;
 }
 
-/// CAS-loop add for atomic<double> (fetch_add on floating-point atomics
-/// is C++20 but not universally lowered well; this is equivalent).
-void atomic_add(std::atomic<double>& target, double delta) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 const CounterSnapshot* MetricsSnapshot::counter(std::string_view name) const {
@@ -121,6 +112,21 @@ Histogram::Histogram(std::vector<double> bounds)
   assert(!bounds_.empty());
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
+
+#ifndef CRYPTODROP_NO_METRICS
+namespace {
+
+/// CAS-loop add for atomic<double> (fetch_add on floating-point atomics
+/// is C++20 but not universally lowered well; this is equivalent).
+void atomic_add(std::atomic<double>& target, double delta) {
+  double current = target.load(std::memory_order_relaxed);
+  while (!target.compare_exchange_weak(current, current + delta,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+#endif
 
 void Histogram::record(double v) {
 #ifndef CRYPTODROP_NO_METRICS

@@ -24,10 +24,6 @@ std::vector<std::string_view> known_metric_names() {
       // engine gauges
       "processes_tracked",
       "files_tracked",
-      "digest_cache_hits",
-      "digest_cache_misses",
-      "digest_cache_entries",
-      "digest_cache_evictions",
       // scratch-buffer pool gauges (common/buffer_pool.cpp)
       "buffer_pool_acquires",
       "buffer_pool_hits",

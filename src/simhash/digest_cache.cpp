@@ -1,68 +1,42 @@
 #include "simhash/digest_cache.hpp"
 
-#include <algorithm>
+#include <memory>
+#include <utility>
 
 namespace cryptodrop::simhash {
+namespace {
 
-DigestCache::DigestCache(std::size_t capacity)
-    : per_shard_capacity_(std::max<std::size_t>(1, (capacity + kShards - 1) / kShards)) {}
+/// What a content buffer memoizes: its digest, and the DigestCache
+/// generation in which that digest was last computed.
+struct DigestMemo final : vfs::ContentMemo {
+  DigestMemo(std::optional<SimilarityDigest> d, std::uint64_t g)
+      : digest(std::move(d)), generation(g) {}
+
+  const std::optional<SimilarityDigest> digest;
+  mutable std::atomic<std::uint64_t> generation;
+};
+
+}  // namespace
 
 // cryptodrop:hot
-std::optional<SimilarityDigest> DigestCache::get_or_compute(ByteView data) {
-  const crypto::Sha256Digest key = crypto::sha256(data);
-  Shard& shard = shards_[key[0] % kShards];
-
-  {
-    std::lock_guard lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->second;
-    }
-    ++shard.misses;
+std::optional<SimilarityDigest> memoized_digest(const vfs::Content& content) {
+  DigestCache& cache = DigestCache::global();
+  const std::uint64_t generation = cache.generation_.load(std::memory_order_acquire);
+  const auto* memo = dynamic_cast<const DigestMemo*>(content.memo());
+  if (memo != nullptr && memo->generation.load(std::memory_order_relaxed) == generation) {
+    cache.hits_.fetch_add(1, std::memory_order_relaxed);
+    return memo->digest;
   }
-
-  // Compute outside the lock: digests of large files are the expensive
-  // part, and two threads racing on the same content just do the work
-  // twice — both arrive at the identical deterministic digest.
-  std::optional<SimilarityDigest> digest = SimilarityDigest::compute(data);
-
-  std::lock_guard lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Lost the race; the existing entry is equivalent.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->second;
-  }
-  shard.lru.emplace_front(key, digest);
-  shard.index.emplace(key, shard.lru.begin());
-  while (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  cache.misses_.fetch_add(1, std::memory_order_relaxed);
+  std::optional<SimilarityDigest> digest = SimilarityDigest::compute(ByteView(content));
+  if (memo != nullptr) {
+    // A stale memo still describes these bytes; computing again only
+    // renews it for the current generation.
+    memo->generation.store(generation, std::memory_order_relaxed);
+  } else {
+    content.install_memo(std::make_unique<const DigestMemo>(digest, generation));
   }
   return digest;
-}
-
-void DigestCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
-DigestCacheStats DigestCache::stats() const {
-  DigestCacheStats out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
-    out.entries += shard.lru.size();
-  }
-  return out;
 }
 
 DigestCache& DigestCache::global() {

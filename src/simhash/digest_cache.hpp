@@ -1,96 +1,72 @@
-// Process-wide cache of similarity digests keyed by content hash.
+// Similarity digests memoized on the content buffers they describe.
 //
 // Digesting a file is the engine's most expensive measurement (rolling-
 // hash feature selection over the whole content). The experiment zoo
-// drives hundreds of trials over clones of one corpus, and the VFS's
-// copy-on-write content sharing means every trial's pristine baselines
-// are the *same bytes* — so the digest of each distinct content needs to
-// be computed exactly once, process-wide.
+// drives hundreds of trials over clones of one corpus, and daemon
+// tenants clone one base volume; copy-on-write sharing makes every
+// trial's pristine baseline the *same buffer* (vfs/content.hpp). So the
+// digest is kept in that buffer's memo slot: computed on its first
+// lookup, then read from there with no key to hash and no lock. A
+// buffer is immutable while it is shared, so a memo can never describe
+// other bytes, and it is freed with its buffer: at most one digest per
+// live buffer, about 2.6% of its bytes. Content that is too small or
+// too featureless to digest memoizes its nullopt the same way.
 //
-// Keying by SHA-256 of the content (not by pointer identity) also
-// collapses duplicates that are equal but separately allocated, e.g. a
-// corpus rebuilt from the same seed in another FileSystem.
-//
-// The cache is sharded (16 ways, by the first key byte) so concurrent
-// trials do not serialize on one mutex, and bounded per shard with LRU
-// eviction. Negative results — content too small or too featureless to
-// digest — are cached too; they recur just as often and are cheap.
+// DigestCache is the process-wide view of those memos: lookup totals,
+// and a generation number that clear() advances to mark every memo
+// stale, so a measurement pass can start like a freshly started monitor
+// that has digested nothing yet.
 #pragma once
 
-#include <array>
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
-#include "common/bytes.hpp"
-#include "common/ranked_mutex.hpp"
-#include "crypto/sha256.hpp"
 #include "simhash/similarity.hpp"
+#include "vfs/content.hpp"
 
 namespace cryptodrop::simhash {
 
-/// Aggregated counters across all shards (see stats()).
+/// Lookup totals across every content buffer (see DigestCache::stats()).
 struct DigestCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
+  std::uint64_t hits = 0;    ///< Lookups answered by a current memo.
+  std::uint64_t misses = 0;  ///< Lookups that computed the digest.
 };
 
-/// The sharded, LRU-bounded digest cache described above.
+/// `content`'s similarity digest (nullopt when it cannot be digested):
+/// from the content's memo when that is current, otherwise computed and
+/// memoized. Safe from any number of threads; threads racing on one
+/// buffer may each compute, and they compute the same digest.
+[[nodiscard]] std::optional<SimilarityDigest> memoized_digest(const vfs::Content& content);
+
+/// Process-wide lookup totals and the generation that marks memos
+/// current.
 class DigestCache {
  public:
-  /// Total entries across all shards (rounded up to a per-shard bound).
-  explicit DigestCache(std::size_t capacity = kDefaultCapacity);
-
   DigestCache(const DigestCache&) = delete;
   DigestCache& operator=(const DigestCache&) = delete;
 
-  /// Returns the cached digest of content hashing to `data`'s SHA-256,
-  /// computing and inserting it on miss. A nullopt digest (content not
-  /// digestible) is a valid cached value.
-  std::optional<SimilarityDigest> get_or_compute(ByteView data);
-
-  /// Drops every entry (stats are kept).
-  void clear();
-
-  /// Snapshot of the hit/miss/eviction counters.
-  [[nodiscard]] DigestCacheStats stats() const;
-
-  /// The cache shared by every engine with `share_digest_cache` set.
+  /// The one instance memoized_digest() reports to.
   static DigestCache& global();
 
-  static constexpr std::size_t kDefaultCapacity = 8192;
+  /// Marks every memo stale: the next lookup of each buffer computes its
+  /// digest again and counts a miss. The totals are kept.
+  void clear() { generation_.fetch_add(1, std::memory_order_acq_rel); }
+
+  /// Lookup totals since the process started.
+  [[nodiscard]] DigestCacheStats stats() const {
+    return DigestCacheStats{hits_.load(std::memory_order_relaxed),
+                            misses_.load(std::memory_order_relaxed)};
+  }
 
  private:
-  static constexpr std::size_t kShards = 16;
+  friend std::optional<SimilarityDigest> memoized_digest(const vfs::Content& content);
 
-  struct KeyHash {
-    std::size_t operator()(const crypto::Sha256Digest& key) const {
-      // The key is itself a cryptographic hash; its first bytes are
-      // already uniformly distributed.
-      std::size_t out;
-      static_assert(sizeof(out) <= sizeof(crypto::Sha256Digest));
-      __builtin_memcpy(&out, key.data(), sizeof(out));
-      return out;
-    }
-  };
+  DigestCache() = default;
 
-  struct Shard {
-    /// Rank 30: acquired under the engine lock on digest misses.
-    mutable common::RankedMutex<common::lockrank::kDigestCache> mu;
-    /// Most-recently-used entries at the front.
-    std::list<std::pair<crypto::Sha256Digest, std::optional<SimilarityDigest>>> lru;
-    std::unordered_map<crypto::Sha256Digest, decltype(lru)::iterator, KeyHash> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  std::size_t per_shard_capacity_;
-  std::array<Shard, kShards> shards_;
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace cryptodrop::simhash

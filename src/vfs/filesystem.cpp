@@ -277,13 +277,13 @@ Result<Handle> FileSystem::open(ProcessId pid, std::string_view raw_path, unsign
     if (node == nullptr) {
       if (Status s = ensure_parents(path); !s.is_ok()) return s;
       FileNode fresh;
-      fresh.data = std::make_shared<Bytes>();
+      fresh.data = std::make_shared<Content>();
       fresh.id = next_file_id_++;
       oh.file_id = fresh.id;
       create_file(path, std::move(fresh));
     } else {
       oh.file_id = node->id;
-      if ((mode & kTruncate) != 0) own_file(path, *node).data = std::make_shared<Bytes>();
+      if ((mode & kTruncate) != 0) own_file(path, *node).data = std::make_shared<Content>();
     }
     oh.path = path;
     oh.pid = pid;
@@ -374,16 +374,18 @@ Status FileSystem::write(ProcessId pid, Handle h, ByteView data) {
     // base file's buffer is also held by the base node own_file() copied
     // up from, so it never qualifies. The fast path is what
     // keeps streamed multi-gigabyte appends O(n) instead of O(n^2).
-    // Buffers are always *created* as mutable Bytes, so the const_cast
-    // below never touches a genuinely const object.
+    // Buffers are always *created* as mutable Content, so the const_cast
+    // below never touches a genuinely const object. The memo describes
+    // the old bytes, so it goes before they change.
     if (node->data.use_count() == 1) {
-      Bytes& buf = const_cast<Bytes&>(*node->data);
+      Content& buf = const_cast<Content&>(*node->data);
+      buf.clear_memo();
       if (buf.size() < end) buf.resize(static_cast<std::size_t>(end), 0);
       std::copy(put.begin(), put.end(),
                 buf.begin() + static_cast<std::ptrdiff_t>(oh.pos));
     } else {
       const Bytes& old = *node->data;
-      auto fresh = std::make_shared<Bytes>();
+      auto fresh = std::make_shared<Content>();
       fresh->reserve(static_cast<std::size_t>(std::max<std::uint64_t>(end, old.size())));
       fresh->assign(old.begin(), old.end());
       if (fresh->size() < end) fresh->resize(static_cast<std::size_t>(end), 0);
@@ -420,7 +422,7 @@ Status FileSystem::truncate(ProcessId pid, Handle h, std::uint64_t new_size) {
   return run_filtered(event, [&]() -> Status {
     FileNode* node = own_file(oh.path);
     if (node == nullptr) return Status(Errc::not_found, oh.path);
-    auto fresh = std::make_shared<Bytes>(*node->data);
+    auto fresh = std::make_shared<Content>(*node->data);
     fresh->resize(static_cast<std::size_t>(new_size), 0);
     node->data = std::move(fresh);
     oh.wrote = true;
@@ -582,7 +584,7 @@ Result<FileInfo> FileSystem::stat(std::string_view raw_path) const {
   return info;
 }
 
-std::shared_ptr<const Bytes> FileSystem::read_unfiltered(std::string_view raw_path) const {
+std::shared_ptr<const Content> FileSystem::read_unfiltered(std::string_view raw_path) const {
   auto norm = normalize_path(raw_path);
   if (!norm) return nullptr;
   const FileNode* node = find_file(*norm);
@@ -664,7 +666,7 @@ Status FileSystem::put_file_raw(std::string_view raw_path, Bytes data, bool read
   if (path.empty() || has_dir(path)) return Status(Errc::is_a_directory, path);
   if (Status s = ensure_parents(path); !s.is_ok()) return s;
   FileNode node;
-  node.data = std::make_shared<Bytes>(std::move(data));
+  node.data = std::make_shared<Content>(std::move(data));
   node.read_only = read_only;
   if (const FileNode* live = find_file(path)) {
     node.id = live->id;

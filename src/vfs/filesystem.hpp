@@ -15,8 +15,9 @@
 //    whose delta is empty shares the base in O(1), replacing the paper's
 //    VM snapshot revert; a volume tears down in O(files it touched). A
 //    built base is never mutated, so concurrent clones need no lock;
-//  * file content is copy-on-write (shared_ptr<const Bytes>): a volume's
-//    first write to a file its base holds copies the buffer;
+//  * file content is copy-on-write (shared_ptr<const Content>): a
+//    volume's first write to a file its base holds copies the buffer,
+//    and the copy starts with an empty memo slot (vfs/content.hpp);
 //  * read-only files refuse writes and deletion (the GPcode sample in
 //    §V-C was "uniquely unable to work around" read-only test files).
 #pragma once
@@ -31,6 +32,7 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
+#include "vfs/content.hpp"
 #include "vfs/filter.hpp"
 #include "vfs/path.hpp"
 
@@ -171,8 +173,9 @@ class FileSystem {
   [[nodiscard]] Result<FileInfo> stat(std::string_view raw_path) const;
   /// Current content of a file, bypassing the filter stack (what the
   /// paper's driver does when a locked file must be inspected "using the
-  /// kernel code"). Returns nullptr when the path is not a file.
-  [[nodiscard]] std::shared_ptr<const Bytes> read_unfiltered(std::string_view raw_path) const;
+  /// kernel code"). Returns nullptr when the path is not a file. The
+  /// buffer is shared, not copied, and never changes while it is held.
+  [[nodiscard]] std::shared_ptr<const Content> read_unfiltered(std::string_view raw_path) const;
   /// Immediate children of a directory, names sorted.
   [[nodiscard]] std::vector<DirEntry> list(std::string_view raw_path) const;
   /// All file paths under `raw_path` (inclusive subtree), sorted.
@@ -218,7 +221,7 @@ class FileSystem {
 
  private:
   struct FileNode {
-    std::shared_ptr<const Bytes> data;  // null only in a delta tombstone
+    std::shared_ptr<const Content> data;  // null only in a delta tombstone
     FileId id = kNoFile;
     bool read_only = false;
   };

@@ -5,6 +5,8 @@
 // included.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/text.hpp"
@@ -161,16 +163,15 @@ TEST_F(ChaosTest, BenignSuiteIsBitIdenticalAcrossJobCounts) {
 
 TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
   // Regression guard for the close-path digest-retention optimisation:
-  // the engine now keeps the freshly measured digest as the next
-  // baseline, and the shared DigestCache is keyed by content SHA-256 —
-  // neither may ever hand back the *old* content's digest after a
-  // truncate-then-rewrite, or the similarity indicator would compare
-  // ransomware output against itself and stay silent.
+  // the engine keeps the freshly measured digest as the next baseline,
+  // and each content buffer memoizes its own digest — neither may ever
+  // hand back the *old* content's digest after a truncate-then-rewrite,
+  // or the similarity indicator would compare ransomware output against
+  // itself and stay silent.
   core::ScoringConfig config;
   config.protected_root = "users/victim/documents";
   config.score_threshold = 1000000;  // indicators only; no suspension
   config.union_threshold = 1000000;
-  config.share_digest_cache = true;
 
   Rng rng(777);
   const Bytes prose = to_bytes(synth_prose(rng, 30000));
@@ -178,9 +179,8 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
   const std::string path = "users/victim/documents/ledger.txt";
 
   for (int round = 0; round < 2; ++round) {
-    // Two rounds over the same content through one process-wide cache:
-    // round 2 replays round 1's exact bytes, so every digest lookup is
-    // a cache hit — the stalest path possible.
+    // Two rounds over the same bytes in fresh buffers: what round 1
+    // memoized must not leak into round 2's measurements.
     vfs::FileSystem fs;
     core::AnalysisEngine engine(config);
     fs.attach_filter(&engine);
@@ -190,7 +190,7 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
 
     // Truncate-then-rewrite with unrelated bytes: the baseline digest
     // (captured pre-truncate) must be compared against the *new*
-    // content's digest, never a stale cached one.
+    // content's digest, never a stale memoized one.
     auto h = fs.open(pid, path, vfs::kWrite | vfs::kTruncate);
     ASSERT_TRUE(h.is_ok());
     ASSERT_TRUE(fs.write(pid, h.value(), ByteView(noise)).is_ok());
@@ -209,19 +209,32 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
         << "round " << round;
   }
 
-  // Cache-level check of the same hazard, content-addressed directly.
-  simhash::DigestCache cache(64);
-  const auto before = cache.get_or_compute(ByteView(prose));
-  const auto after = cache.get_or_compute(ByteView(noise));
-  ASSERT_TRUE(before.has_value());
+  // Memo-level check of the same hazard on the one path that changes a
+  // buffer in place: a write to a buffer its file node alone holds.
+  vfs::FileSystem fs;
+  const vfs::ProcessId pid = fs.register_process("appender");
+  auto h = fs.open(pid, path, vfs::kWrite | vfs::kCreate);
+  ASSERT_TRUE(h.is_ok());
+  ASSERT_TRUE(fs.write(pid, h.value(), ByteView(prose)).is_ok());
+  const vfs::Content* buffer = nullptr;
+  std::optional<simhash::SimilarityDigest> before;
+  {
+    const auto content = fs.read_unfiltered(path);
+    buffer = content.get();
+    before = simhash::memoized_digest(*content);
+    ASSERT_TRUE(before.has_value());
+    ASSERT_NE(content->memo(), nullptr);
+  }  // the node is the buffer's only holder again
+  ASSERT_TRUE(fs.write(pid, h.value(), ByteView(noise)).is_ok());
+  ASSERT_TRUE(fs.close(pid, h.value()).is_ok());
+  const auto content = fs.read_unfiltered(path);
+  ASSERT_EQ(content.get(), buffer) << "the append must take the in-place path";
+  const auto after = simhash::memoized_digest(*content);
+  const auto fresh = simhash::SimilarityDigest::compute(ByteView(*content));
   ASSERT_TRUE(after.has_value());
-  EXPECT_FALSE(*before == *after);
-  const auto fresh = simhash::SimilarityDigest::compute(ByteView(noise));
   ASSERT_TRUE(fresh.has_value());
   EXPECT_TRUE(*after == *fresh);
-  const auto replay = cache.get_or_compute(ByteView(prose));
-  ASSERT_TRUE(replay.has_value());
-  EXPECT_TRUE(*replay == *before);
+  EXPECT_FALSE(*after == *before);
 }
 
 TEST_F(ChaosTest, InvalidPlanIsRejectedBeforeAnyTrialRuns) {

@@ -11,6 +11,7 @@
 #include "common/text.hpp"
 #include "corpus/generators.hpp"
 #include "crypto/chacha20.hpp"
+#include "simhash/digest_cache.hpp"
 #include "simhash/similarity.hpp"
 
 namespace cryptodrop::simhash {
@@ -266,6 +267,54 @@ TEST(Simhash, DeterministicDigest) {
   ASSERT_TRUE(d1 && d2);
   EXPECT_EQ(d1->compare(*d2), 100);
   EXPECT_EQ(d1->feature_count(), d2->feature_count());
+}
+
+// --- digests memoized on content buffers (simhash/digest_cache.hpp) ----
+
+TEST(DigestMemo, ClearMakesTheNextLookupComputeAgain) {
+  // A measurement pass calls clear() to start like a freshly started
+  // monitor, and counts on every buffer it digests to miss again.
+  const vfs::Content content(prose(31, 8192));
+  DigestCache& cache = DigestCache::global();
+  const auto first = memoized_digest(content);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_NE(content.memo(), nullptr);
+
+  const DigestCacheStats memoized = cache.stats();
+  const auto hit = memoized_digest(content);
+  const DigestCacheStats after_hit = cache.stats();
+  EXPECT_EQ(after_hit.hits, memoized.hits + 1);
+  EXPECT_EQ(after_hit.misses, memoized.misses);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(*hit == *first);
+
+  cache.clear();
+  const auto again = memoized_digest(content);
+  const DigestCacheStats after_clear = cache.stats();
+  EXPECT_EQ(after_clear.misses, after_hit.misses + 1);
+  EXPECT_EQ(after_clear.hits, after_hit.hits);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(*again == *first);
+
+  // Renewed: the lookup after that is a hit again.
+  (void)memoized_digest(content);
+  EXPECT_EQ(cache.stats().hits, after_clear.hits + 1);
+}
+
+TEST(DigestMemo, UndigestibleContentIsMemoizedToo) {
+  const vfs::Content small(to_bytes("too small for sdhash"));
+  EXPECT_FALSE(memoized_digest(small).has_value());
+  const DigestCacheStats memoized = DigestCache::global().stats();
+  EXPECT_FALSE(memoized_digest(small).has_value());
+  EXPECT_EQ(DigestCache::global().stats().hits, memoized.hits + 1);
+}
+
+TEST(DigestMemo, CopyStartsWithAnEmptyMemo) {
+  const vfs::Content original(prose(32, 8192));
+  ASSERT_TRUE(memoized_digest(original).has_value());
+  ASSERT_NE(original.memo(), nullptr);
+  const vfs::Content copy(original);
+  EXPECT_EQ(copy.memo(), nullptr);
 }
 
 // --- parameterized: the ciphertext-vs-plaintext contract holds for every

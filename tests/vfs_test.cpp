@@ -21,7 +21,7 @@ class VfsTest : public ::testing::Test {
 
   Bytes content(const std::string& path) {
     auto data = fs.read_unfiltered(path);
-    return data ? *data : Bytes{};
+    return data ? Bytes(*data) : Bytes{};
   }
 };
 

@@ -496,7 +496,7 @@ void extract_defs(const std::string& file, const JoinedSource& src,
 /// is invisible to a lexical scanner, so resolving `s.append(...)` by
 /// bare name would wire std::string::append to any repo function that
 /// happens to be called `append`. Interface boundaries the closure
-/// must cross by dispatch (entropy backends, digest cache, queue,
+/// must cross by dispatch (entropy backends, digest memo, queue,
 /// pool) carry their own `// cryptodrop:hot` markers on the callee
 /// side instead — see DESIGN.md §17.
 std::set<std::string> collect_callees(const std::string& t, std::size_t begin,
